@@ -10,8 +10,8 @@ Input files hold raw bytes by default (alphabet size 256). With --tokens
 they hold whitespace-separated decimal integers instead. Script lines are
 `I <p> <S>` (insert S after position p, -1 prepends), `D <q> <p>` (delete
 the closed range), and `X <p> <S>` (overwrite starting at p). S is a
-literal byte string in byte mode and comma-separated integers in token
-mode. Byte files are taken verbatim, so write them without a trailing
+literal byte string in byte mode, holding any byte but space, tab and
+newline, and comma-separated integers in token mode. Byte files are taken verbatim, so write them without a trailing
 newline.
 """
 
@@ -57,42 +57,46 @@ def _read_letters(path: str, tokens: bool) -> list[int]:
     return out
 
 
-def _parse_block(tok: str, tokens: bool, line_no: int) -> tuple[int, ...]:
+def _parse_block(tok: bytes, tokens: bool, line_no: int) -> tuple[int, ...]:
     if not tokens:
-        return tuple(tok.encode("latin-1"))
+        return tuple(tok)
     try:
-        block = tuple(int(x) for x in tok.split(","))
+        block = tuple(int(x) for x in tok.split(b","))
     except ValueError:
-        raise ScriptError(line_no, f"bad block {tok!r}") from None
+        raise ScriptError(line_no, f"bad block {tok.decode('latin-1')!r}") from None
     if any(v < 0 for v in block):
-        raise ScriptError(line_no, f"negative letter in block {tok!r}")
+        raise ScriptError(line_no, f"negative letter in block {tok.decode('latin-1')!r}")
     return block
 
 
 def _parse_script(path: str, tokens: bool) -> list[tuple[int, EditOp]]:
+    """Lines end at b"\n" (a trailing b"\r" is dropped) and fields are
+    separated by ASCII spaces and tabs only, so every other byte, 0x85 and
+    0xA0 included, is a letter of a byte-mode block."""
     ops: list[tuple[int, EditOp]] = []
-    text = Path(path).read_bytes().decode("latin-1")
-    for line_no, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
+    for line_no, raw in enumerate(Path(path).read_bytes().split(b"\n"), 1):
+        if raw.endswith(b"\r"):
+            raw = raw[:-1]
+        parts = [f for f in raw.replace(b"\t", b" ").split(b" ") if f]
+        if not parts:
             continue
-        parts = line.split()
+        shown = raw.decode("latin-1")
         kind = parts[0]
-        if kind not in ("I", "D", "X") or len(parts) != 3:
-            raise ScriptError(line_no, f"cannot parse {raw!r}")
-        if kind == "D":
+        if kind not in (b"I", b"D", b"X") or len(parts) != 3:
+            raise ScriptError(line_no, f"cannot parse {shown!r}")
+        if kind == b"D":
             try:
                 q, p = int(parts[1]), int(parts[2])
             except ValueError:
-                raise ScriptError(line_no, f"bad positions in {raw!r}") from None
+                raise ScriptError(line_no, f"bad positions in {shown!r}") from None
             ops.append((line_no, Delete(q, p)))
             continue
         try:
             p = int(parts[1])
         except ValueError:
-            raise ScriptError(line_no, f"bad position in {raw!r}") from None
+            raise ScriptError(line_no, f"bad position in {shown!r}") from None
         block = _parse_block(parts[2], tokens, line_no)
-        ops.append((line_no, Insert(p, block) if kind == "I" else Substitute(p, block)))
+        ops.append((line_no, Insert(p, block) if kind == b"I" else Substitute(p, block)))
     return ops
 
 

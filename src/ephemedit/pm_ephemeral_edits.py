@@ -11,7 +11,7 @@ window filter keeps offsets whose span includes the seam position.
 
 from __future__ import annotations
 
-from .edits import Delete, EditOp, Insert, Substitute, validate_edit
+from .edits import Delete, EditOp, Insert, validate_edit
 from .pm_block_delete import BlockDeleteMatcher
 from .prefix_suffix import border_array
 
@@ -72,52 +72,29 @@ class EditMatcher(BlockDeleteMatcher):
         pattern suffix starting at the seam (including the new letter for
         inserts and substitutes).
         """
-        n = self.n
-        validate_edit(op, n, self.text.sigma)
-        if isinstance(op, Delete):
-            ell, rp = op.first, op.last + 1
-            a = self.lpf[ell - 1] if ell > 0 else 0
-            b = self.lsp[rp] if rp < n else 0
-            return a, b
-        ell, rp, c = self._single_letter(op)
-        a = self.lpf[ell - 1] if ell > 0 else 0
-        s0 = self.lsp[rp] if rp < n else 0
-        return a, self.sma.step(s0, c)
+        validate_edit(op, self.n, self.text.sigma)
+        return self._seam(op)[3:]
 
-    def _single_letter(self, op: EditOp) -> tuple[int, int, int]:
+    def _seam(self, op: EditOp) -> tuple[int, int, int, int, int]:
+        """(ell, rp, width, a, b) as taken by ``_splice``."""
+        if isinstance(op, Delete):
+            return self._delete_seam(op.first, op.last)
         if len(op.block) != 1:
             raise ValueError(
                 "this matcher supports single-letter inserts and substitutes"
             )
         if isinstance(op, Insert):
-            return op.after + 1, op.after + 1, op.block[0]
-        return op.at, op.at + 1, op.block[0]
+            ell = rp = op.after + 1
+        else:
+            ell, rp = op.at, op.at + 1
+        a = self.lpf[ell - 1] if ell else 0
+        s0 = self.lsp[rp] if rp < self.n else 0
+        return ell, rp, 1, a, self.sma.step(s0, op.block[0])
 
     def occurrences_after_edit(self, op: EditOp) -> list[int]:
         """Sorted pattern starts in the text after the edit."""
-        n, m = self.n, self.m
-        validate_edit(op, n, self.text.sigma)
-        if isinstance(op, Delete):
-            return self.occurrences_after_delete(op.first, op.last)
-        ell, rp, c = self._single_letter(op)
-        out: list[int] = []
-        if ell >= m:
-            out.extend(self.idx.report_starts(self.interval, 0, ell - m))
-        if rp <= n - m:
-            shift = ell + 1 - rp
-            out.extend(
-                x + shift for x in self.idx.report_starts(self.interval, rp, n - m)
-            )
-        a = self.lpf[ell - 1] if ell > 0 else 0
-        s0 = self.lsp[rp] if rp < n else 0
-        b = self.sma.step(s0, c)
-        for t in self.psi.query(a, b):
-            # A seam match must cover the changed letter, which sits at
-            # offset a of the window.
-            if t <= a and t + m > a:
-                out.append(ell - a + t)
-        out.sort()
-        return out
+        validate_edit(op, self.n, self.text.sigma)
+        return self._splice(*self._seam(op))
 
 
 def preprocess(text, pattern) -> EditMatcher:

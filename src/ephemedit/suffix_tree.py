@@ -14,7 +14,8 @@ suffix-array interval of its occurrences.
 
 `build_marked_gst` indexes text and pattern together, separated by a
 sentinel that sorts below every letter, and extracts for each text position
-the longest pattern suffix beginning there.
+the longest pattern suffix beginning there. No engine calls it: the
+pattern-matching engines read the same table off a Knuth-Morris-Pratt scan.
 """
 
 from __future__ import annotations

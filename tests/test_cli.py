@@ -2,7 +2,8 @@
 
 import pytest
 
-from ephemedit.cli import main
+from ephemedit.cli import _parse_script, main
+from ephemedit.edits import Insert
 
 TEXT = b"ananabannabanaana"
 PATTERN = b"banana"
@@ -82,6 +83,30 @@ def test_parse_error_reports_line(files, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "bad.txt:2" in err
+
+
+def test_byte_block_keeps_non_ascii_space(tmp_path, capsys):
+    # 0xA0 is whitespace to str.split but a letter of the inserted block.
+    t = tmp_path / "t.bin"
+    p = tmp_path / "p.bin"
+    s = tmp_path / "s.txt"
+    t.write_bytes(b"aaaa")
+    p.write_bytes(b"a")
+    s.write_bytes(b"I 1 \xa0a\r\n")
+    assert _parse_script(str(s), tokens=False) == [(1, Insert(1, (0xA0, 0x61)))]
+    code, out, err = run_cli(capsys, "run", t, p, s, "--mode", "index", "--verify")
+    assert (code, out, err) == (0, "0 1 3 4 5\n", "")
+
+
+def test_next_line_byte_does_not_shift_line_numbers(files, tmp_path, capsys):
+    # 0x85 ends a line for str.splitlines; here it is a letter of the block.
+    t, p, _ = files
+    s = tmp_path / "nel.txt"
+    s.write_bytes(b"I 0 a\x85\nD 0 99\n")
+    assert _parse_script(str(s), tokens=False)[0] == (1, Insert(0, (0x61, 0x85)))
+    code, _, err = run_cli(capsys, "run", t, p, s)
+    assert code == 2
+    assert "nel.txt:2:" in err
 
 
 def test_position_violation_reports_line(files, tmp_path, capsys):

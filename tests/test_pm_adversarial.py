@@ -1,0 +1,107 @@
+"""Both pattern-matching engines on adversarial text families at n in
+[300, 2000]: the junction tables and occurrence starts against brute
+force, and every edit kind against the reference oracle."""
+
+import random
+
+import pytest
+
+from ephemedit.edits import Delete, Insert, Substitute
+from ephemedit.pm_ephemeral_edits import preprocess
+from ephemedit.reference_oracle import naive_search, occurrences_after_oracle
+from ephemedit.text_core import Text
+
+
+def fibonacci_word(n: int) -> list[int]:
+    a, b = [0], [0, 1]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def periodic_with_noise(rng: random.Random, n: int) -> list[int]:
+    word = [0, 1, 0, 2, 1, 3, 1]
+    t = [word[i % len(word)] for i in range(n)]
+    for i in rng.sample(range(n), n // 40):
+        t[i] = rng.randrange(4)
+    return t
+
+
+def square(rng: random.Random, n: int) -> list[int]:
+    x = [rng.randrange(3) for _ in range(n // 2)]
+    return x + x
+
+
+# name -> (text, sigma), built from a fixed seed per family.
+FAMILIES = {
+    "unary": lambda rng: ([0] * 700, 1),
+    "periodic-noise": lambda rng: (periodic_with_noise(rng, 2000), 4),
+    "fibonacci": lambda rng: (fibonacci_word(1597), 2),
+    "square": lambda rng: (square(rng, 1200), 3),
+    "binary-random": lambda rng: ([rng.randrange(2) for _ in range(1500)], 2),
+    "large-sigma": lambda rng: ([rng.randrange(5000) for _ in range(300)], 5000),
+}
+
+
+def patterns_for(rng: random.Random, text: list[int], sigma: int) -> list[list[int]]:
+    n = len(text)
+    out = [[text[n // 2]]]
+    for m in (2, 5, 13, 40, 150):
+        j = rng.randrange(n - m + 1)
+        out.append(text[j : j + m])
+    out.append([rng.randrange(sigma) for _ in range(6)])
+    return out
+
+
+def brute_lpf(t, p):
+    return [
+        next(k for k in range(min(len(p), j + 1), -1, -1) if t[j + 1 - k : j + 1] == p[:k])
+        for j in range(len(t))
+    ]
+
+
+def brute_lsp(t, p):
+    m = len(p)
+    return [
+        next(k for k in range(min(m, len(t) - j), -1, -1) if t[j : j + k] == p[m - k :])
+        for j in range(len(t))
+    ]
+
+
+def ops_for(rng: random.Random, n: int, starts: list[int], alphabet: list[int]):
+    """Every op kind at both ends, and near occurrences, where seams form."""
+    def near():
+        if starts and rng.random() < 0.7:
+            return min(n - 1, max(0, rng.choice(starts) + rng.randint(-3, 3)))
+        return rng.randrange(n)
+
+    def letter():
+        return (rng.choice(alphabet),)
+
+    ops = [Insert(-1, letter()), Insert(n - 1, letter()), Delete(0, 0), Delete(n - 1, n - 1),
+           Substitute(0, letter()), Substitute(n - 1, letter()), Delete(0, n - 1)]
+    for _ in range(12):
+        q = near()
+        ops += [Insert(q - 1, letter()), Delete(q, q), Substitute(q, letter()),
+                Delete(q, min(n - 1, q + rng.randint(1, 60)))]
+    return ops
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_tables_and_edits_on_adversarial_texts(family):
+    rng = random.Random(f"adversarial/{family}")
+    text, sigma = FAMILIES[family](rng)
+    n = len(text)
+    assert 300 <= n <= 2000
+    tx = Text(text, sigma)
+    for pattern in patterns_for(rng, text, sigma):
+        em = preprocess(tx, pattern)
+        starts = naive_search(text, pattern)
+        assert list(em.idx) == starts
+        assert list(em.lpf) == brute_lpf(text, pattern)
+        assert list(em.lsp) == brute_lsp(text, pattern)
+        for op in ops_for(rng, n, starts, sorted(set(pattern)) + [rng.randrange(sigma)]):
+            want = occurrences_after_oracle(text, pattern, op)
+            assert em.occurrences_after_edit(op) == want, (pattern, op)
+            if isinstance(op, Delete):
+                assert em.occurrences_after_delete(op.first, op.last) == want, (pattern, op)
