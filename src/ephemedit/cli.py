@@ -7,18 +7,20 @@ reports preprocessing times, per-operation latency percentiles, and a
 naive rescan baseline.
 
 Input files hold raw bytes by default (alphabet size 256). With --tokens
-they hold whitespace-separated decimal integers instead. Script lines are
-`I <p> <S>` (insert S after position p, -1 prepends), `D <q> <p>` (delete
-the closed range), and `X <p> <S>` (overwrite starting at p). S is a
-literal byte string in byte mode, holding any byte but space, tab and
-newline, and comma-separated integers in token mode. Byte files are taken verbatim, so write them without a trailing
-newline.
+they hold decimal integers separated by ASCII spaces, tabs, CRs and LFs
+instead. Script lines are `I <p> <S>` (insert S after position p, -1
+prepends), `D <q> <p>` (delete the closed range), and `X <p> <S>`
+(overwrite starting at p). S is a literal byte string in byte mode,
+holding any byte but space, tab and newline, and comma-separated integers
+in token mode. Byte files are taken verbatim, so write them without a
+trailing newline.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
+import re
 import statistics
 import sys
 import time
@@ -46,11 +48,15 @@ def _read_letters(path: str, tokens: bool) -> list[int]:
     if not tokens:
         return list(data)
     out = []
-    for tok in data.decode("latin-1").split():
+    # Only ASCII separators: str.split() would also break at 0x85, 0xA0
+    # and 0x1C-0x1F, silently reading "1\xa02" as two letters.
+    for tok in re.split(rb"[ \t\r\n]+", data):
+        if not tok:
+            continue
         try:
             v = int(tok)
         except ValueError:
-            raise ValueError(f"{path}: token {tok!r} is not an integer") from None
+            raise ValueError(f"{path}: token {tok.decode('latin-1')!r} is not an integer") from None
         if v < 0:
             raise ValueError(f"{path}: negative letter {v}")
         out.append(v)

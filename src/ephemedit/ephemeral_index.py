@@ -16,13 +16,15 @@ from one of its own prefixes glued to one of its own suffixes, answered by
 pattern prefix ending at the seam, found by a predecessor lookup on the
 reversed index; the suffix arm is found the same way forward, constrained
 to pattern suffixes preceded by the block when the match must cross it.
+The arms inside the block come from Knuth-Morris-Pratt scans of the block
+over the pattern's border tables, forward and reversed.
 """
 
 from __future__ import annotations
 
 from .edits import Delete, EditOp, Insert, Substitute, validate_edit
 from .pattern_trees import build_context_groups, build_tree_p, decompose_disjoint
-from .predecessor_sets import PredSet, build_predset
+from .predecessor_sets import PredSet
 from .prefix_suffix import PrefSufIndex, build_prefsuf
 from .suffix_tree import SuffixTree, matching_statistics
 from .text_core import AlphabetError, Text, TextIndex
@@ -63,13 +65,16 @@ class PatternHandle:
 
     Holds the pattern's junction tables: its prefix-suffix index, the
     disjoint decorated intervals of its suffixes over the forward and
-    reversed text (as predecessor sets), and one predecessor set per
-    context word of length up to epsilon. Stateless at query time.
+    reversed text (as predecessor sets), and the context groups of every
+    word of length up to epsilon. `groups` maps a word to its group id
+    gid, and `group_set` is one predecessor set over all groups, group gid
+    holding its ranks r as keys gid * n + r. Stateless at query time.
     """
 
     __slots__ = (
         "eti",
         "pattern",
+        "rev_pattern",
         "m",
         "epsilon",
         "psi",
@@ -77,8 +82,7 @@ class PatternHandle:
         "main_fwd",
         "main_rev",
         "groups",
-        "ms_fwd",
-        "ms_rev",
+        "group_set",
         "tree_fwd",
         "tree_rev",
     )
@@ -103,18 +107,25 @@ class PatternHandle:
         self.psi = build_prefsuf(pat)
 
         n = eti.n
-        self.ms_fwd = matching_statistics(eti.st_fwd, pat)
-        self.tree_fwd = build_tree_p(pat, self.ms_fwd)
-        self.main_fwd = build_predset(decompose_disjoint(self.tree_fwd), n)
-        self.groups = {
-            key: build_predset(entries, n)
-            for key, entries in build_context_groups(pat, self.ms_fwd, epsilon).items()
-        }
+        ms_fwd = matching_statistics(eti.st_fwd, pat)
+        self.tree_fwd = build_tree_p(pat, ms_fwd)
+        self.main_fwd = PredSet(decompose_disjoint(self.tree_fwd), n)
+        contexts = build_context_groups(pat, ms_fwd, epsilon)
+        self.groups = {key: gid for gid, key in enumerate(contexts)}
+        self.group_set = PredSet(
+            (
+                (base + lo, base + hi, i)
+                for base, entries in zip(range(0, len(contexts) * n, n), contexts.values())
+                for lo, hi, i in entries
+            ),
+            max(1, len(contexts)) * n,
+        )
         rev_pat = pat[::-1]
-        self.ms_rev = matching_statistics(eti.st_rev, rev_pat)
-        self.tree_rev = build_tree_p(rev_pat, self.ms_rev)
-        self.main_rev = build_predset(decompose_disjoint(self.tree_rev), n)
-        self.interval = self.ms_fwd.suf_interval[0]
+        self.rev_pattern = rev_pat
+        ms_rev = matching_statistics(eti.st_rev, rev_pat)
+        self.tree_rev = build_tree_p(rev_pat, ms_rev)
+        self.main_rev = PredSet(decompose_disjoint(self.tree_rev), n)
+        self.interval = ms_fwd.suf_interval[0]
 
 
 def preprocess_pattern(eti: EphemeralTextIndex, pattern, epsilon: int) -> PatternHandle:
@@ -136,36 +147,24 @@ def _left_arm(ph: PatternHandle, ell: int) -> int:
     return 0 if cov is None else ph.m - cov.suffix_start
 
 
-def _longest_prefix_of(block: tuple[int, ...], pat: list[int]) -> int:
-    """Longest prefix of pat that is a suffix of block, by direct comparison."""
-    for length in range(min(len(block), len(pat)), 0, -1):
-        if list(block[len(block) - length :]) == pat[:length]:
-            return length
-    return 0
-
-
-def _longest_suffix_of(block: tuple[int, ...], pat: list[int]) -> int:
-    """Longest suffix of pat that is a prefix of block, by direct comparison."""
-    for length in range(min(len(block), len(pat)), 0, -1):
-        if list(block[:length]) == pat[len(pat) - length :]:
-            return length
-    return 0
-
-
-def _block_starts(pat: list[int], borders: list[int], block: tuple[int, ...]) -> list[int]:
-    """Occurrences of pat inside block, found with the border table."""
+def _kmp_scan(pat: list[int], borders: list[int], block) -> tuple[list[int], int]:
+    """Occurrences of pat inside block, and the longest prefix of pat that
+    is a suffix of block (pat itself included), in one scan with the
+    border table. A full match falls back to its border only when the
+    next letter comes, so the final state may reach len(pat)."""
     m = len(pat)
     out: list[int] = []
     k = 0
     for idx, c in enumerate(block):
+        if k == m:
+            k = borders[k]
         while k and pat[k] != c:
             k = borders[k]
         if pat[k] == c:
             k += 1
-        if k == m:
-            out.append(idx - m + 1)
-            k = borders[k]
-    return out
+            if k == m:
+                out.append(idx - m + 1)
+    return out, k
 
 
 def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:
@@ -219,36 +218,36 @@ def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:
                         hits.append(ell - a + t)
         return out
 
-    # Inserts and substitutes, where the block takes part in matches.
-    if m <= blen:
-        out["block"] = [ell + t for t in _block_starts(pat, psi.f, block)]
+    # Inserts and substitutes, where the block takes part in matches. u is
+    # the longest pattern prefix ending the block, v the longest pattern
+    # suffix starting it.
+    starts, u = _kmp_scan(pat, psi.f, block)
+    out["block"] = [ell + t for t in starts]
     if a > 0:
-        v = _longest_suffix_of(block, pat)
+        v = _kmp_scan(ph.rev_pattern, psi.g, block[::-1])[1]
         if v > 0:
             hits = out["left_block"]
             for t in psi.query(a, v):
                 if t < a and t + m - 1 >= a:
                     hits.append(ell - a + t)
         if rp < n:
-            grp = ph.groups.get(tuple(block))
-            if grp is not None:
-                cov = grp.cover(eti.fwd.isa[rp])
+            gid = ph.groups.get(block)
+            if gid is not None:
+                cov = ph.group_set.cover(gid * n + eti.fwd.isa[rp])
                 if cov is not None:
                     b = blen + (m - cov.suffix_start)
                     hits = out["cross"]
                     for t in psi.query(a, b):
                         if t < a and t + m - 1 >= a + blen:
                             hits.append(ell - a + t)
-    if rp < n:
-        u = _longest_prefix_of(block, pat)
-        if u > 0:
-            cov = ph.main_fwd.cover(eti.fwd.isa[rp])
-            if cov is not None:
-                b = m - cov.suffix_start
-                hits = out["block_right"]
-                for t in psi.query(u, b):
-                    if t < u and t + m - 1 >= u:
-                        hits.append(ell + blen - u + t)
+    if rp < n and u > 0:
+        cov = ph.main_fwd.cover(eti.fwd.isa[rp])
+        if cov is not None:
+            b = m - cov.suffix_start
+            hits = out["block_right"]
+            for t in psi.query(u, b):
+                if t < u and t + m - 1 >= u:
+                    hits.append(ell + blen - u + t)
     return out
 
 

@@ -127,6 +127,8 @@ def _flatten_longest(members: list[tuple[int, int, int]]) -> list[IntervalEntry]
     always do. Sorting puts outer intervals first and, among identical
     intervals, the longer suffix last so it ends up on top of the stack.
     """
+    if len(members) == 1:
+        return [IntervalEntry(*members[0])]
     members.sort(key=lambda t: (t[0], -t[1], -t[2]))
     out: list[IntervalEntry] = []
     stack: list[tuple[int, int, int]] = []

@@ -10,16 +10,17 @@ of the universe) held in a flat hash map, with a binary search over prefix
 lengths, then a bisect inside the single w-sized block of keys the trie
 points at. Space stays linear in the number of keys and a lookup costs
 O(log w) hash probes plus O(log w) for the block, i.e. O(log log universe).
+Entries are stored as plain tuples of ints, which the garbage collector
+stops tracking, so large sets add nothing to its full collections.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class IntervalEntry:
+class IntervalEntry(NamedTuple):
     """Closed rank interval [start, end] decorated with a suffix start."""
 
     start: int
@@ -27,39 +28,47 @@ class IntervalEntry:
     suffix_start: int
 
 
+# Wraps a stored plain tuple as an IntervalEntry without the Python-level
+# NamedTuple constructor.
+_new_entry = tuple.__new__
+
+
 class PredSet:
     """Predecessor / interval-cover queries over static disjoint entries."""
 
     __slots__ = ("entries", "keys", "universe", "w", "_levels")
 
-    def __init__(self, entries: list[IntervalEntry], universe: int):
-        entries = list(entries)
+    def __init__(self, entries, universe: int):
+        """``entries``: (start, end, suffix start) triples, IntervalEntry
+        or plain tuples, sorted and disjoint."""
         if universe < 1:
             raise ValueError(f"universe must be >= 1, got {universe}")
+        flat = []
         prev_end = -1
         for e in entries:
-            if not (0 <= e.start <= e.end < universe):
+            start, end, suffix_start = e
+            if not (0 <= start <= end < universe):
                 raise ValueError(f"entry {e} outside universe [0, {universe})")
-            if e.start <= prev_end:
+            if start <= prev_end:
                 raise ValueError(f"entries not sorted and disjoint at {e}")
-            prev_end = e.end
-        self.entries = entries
-        self.keys = [e.start for e in entries]
+            prev_end = end
+            flat.append((start, end, suffix_start))
+        self.entries = flat
+        self.keys = [e[0] for e in flat]
         self.universe = universe
         self.w = max(1, (universe - 1).bit_length())
 
-        levels: dict[tuple[int, int], list[int]] = {}
+        # Each trie node maps to the (first, last) leader below it, a tuple
+        # for the collector's sake. Leaders come in increasing order, so a
+        # node's range only grows at its end.
+        levels: dict[tuple[int, int], tuple[int, int]] = {}
         w = self.w
         for j in range(0, len(self.keys), w):
             key = self.keys[j]
             leader = j // w
             for depth in range(w + 1):
                 node = (depth, key >> (w - depth))
-                rng = levels.get(node)
-                if rng is None:
-                    levels[node] = [leader, leader]
-                else:
-                    rng[1] = leader
+                levels[node] = (levels.get(node, (leader,))[0], leader)
         self._levels = levels
 
     def predecessor_index(self, q: int) -> int:
@@ -104,14 +113,4 @@ class PredSet:
         if idx < 0:
             return None
         e = self.entries[idx]
-        return e if q <= e.end else None
-
-
-def build_predset(entries, universe: int) -> PredSet:
-    return PredSet(list(entries), universe)
-
-
-def lookup_cover(ps: PredSet, r: int) -> tuple[int, int] | None:
-    """(suffix_start, interval end) of the entry containing rank r, if any."""
-    e = ps.cover(r)
-    return None if e is None else (e.suffix_start, e.end)
+        return _new_entry(IntervalEntry, e) if q <= e[1] else None

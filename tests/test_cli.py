@@ -109,6 +109,20 @@ def test_next_line_byte_does_not_shift_line_numbers(files, tmp_path, capsys):
     assert "nel.txt:2:" in err
 
 
+def test_token_file_splits_on_ascii_space_only(tmp_path, capsys):
+    # 0xA0 is whitespace to str.split; in a token file it is no separator,
+    # so "1\xa02" is one bad token, not the letters 1 and 2.
+    t = tmp_path / "t.tok"
+    p = tmp_path / "p.tok"
+    s = tmp_path / "s.tok"
+    t.write_bytes(b"1\xa02 1")
+    p.write_bytes(b"1\n")
+    s.write_bytes(b"D 0 0\n")
+    code, out, err = run_cli(capsys, "run", t, p, s, "--tokens", "--verify")
+    assert (code, out) == (2, "")
+    assert "t.tok: token '1\\xa02' is not an integer" in err
+
+
 def test_position_violation_reports_line(files, tmp_path, capsys):
     t, p, _ = files
     s = tmp_path / "oob.txt"

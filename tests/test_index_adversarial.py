@@ -1,0 +1,137 @@
+"""The general engine on adversarial text families at n in [300, 2000]
+against the reference oracle, and the packed context-group set against one
+predecessor set per group."""
+
+import random
+
+import pytest
+
+from ephemedit.edits import Delete, Insert, Substitute
+from ephemedit.ephemeral_index import occurrence_classes, preprocess_pattern, preprocess_text
+from ephemedit.pattern_trees import build_context_groups
+from ephemedit.predecessor_sets import PredSet
+from ephemedit.reference_oracle import naive_search, occurrences_after_oracle
+from ephemedit.suffix_tree import matching_statistics
+from ephemedit.text_core import Text
+
+
+def fibonacci_word(n: int) -> list[int]:
+    a, b = [0], [0, 1]
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def periodic_with_noise(rng: random.Random, n: int) -> list[int]:
+    word = [0, 1, 0, 2, 1, 3, 1]
+    t = [word[i % len(word)] for i in range(n)]
+    for i in rng.sample(range(n), n // 40):
+        t[i] = rng.randrange(4)
+    return t
+
+
+def square(rng: random.Random, n: int) -> list[int]:
+    x = [rng.randrange(3) for _ in range(n // 2)]
+    return x + x
+
+
+# name -> (text, sigma, epsilon), built from a fixed seed per family.
+FAMILIES = {
+    "unary": lambda rng: ([0] * 600, 1, 16),
+    "periodic-noise": lambda rng: (periodic_with_noise(rng, 2000), 4, 12),
+    "fibonacci": lambda rng: (fibonacci_word(987), 2, 16),
+    "square": lambda rng: (square(rng, 1200), 3, 8),
+    "large-sigma": lambda rng: ([rng.randrange(5000) for _ in range(300)], 5000, 16),
+}
+
+
+def patterns_for(rng: random.Random, text: list[int], sigma: int) -> list[list[int]]:
+    n = len(text)
+    out = [[text[n // 2]]]
+    for m in (2, 3, 7, 16, 24, 90):
+        j = rng.randrange(n - m + 1)
+        out.append(text[j : j + m])
+    out.append([rng.randrange(sigma) for _ in range(5)])
+    return out
+
+
+def ops_for(rng: random.Random, text, pattern, epsilon: int, sigma: int):
+    """Every op kind at both ends and near occurrences. About half of the
+    blocks are words cut from the pattern, and some substitutes write back
+    letters already inside an occurrence, so that matches cross the block
+    and the context-group lookup hits."""
+    n, m = len(text), len(pattern)
+    starts = naive_search(text, pattern)
+
+    def near():
+        if starts and rng.random() < 0.7:
+            return min(n - 1, max(0, rng.choice(starts) + rng.randint(-3, m)))
+        return rng.randrange(n)
+
+    def block(limit: int):
+        blen = rng.randint(1, min(epsilon, limit))
+        if rng.random() < 0.5 and blen < m:
+            i = rng.randint(blen, m)
+            return tuple(pattern[i - blen : i])
+        return tuple(rng.randrange(sigma) for _ in range(blen))
+
+    ops = [Insert(-1, block(n)), Insert(n - 1, block(n)), Delete(0, n - 1),
+           Substitute(0, block(n)), Substitute(n - 1, block(1))]
+    for _ in range(24):
+        q = near()
+        ops += [Insert(q - 1, block(n)), Substitute(q, block(n - q)), Delete(q, min(n - 1, q + rng.randint(0, 20)))]
+    for s in rng.sample(starts, min(8, len(starts))):
+        if m > 2:
+            j = rng.randint(1, m - 2)
+            blen = rng.randint(1, min(epsilon, m - 1 - j))
+            ops.append(Substitute(s + j, tuple(pattern[j : j + blen])))
+    return ops
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_edits_on_adversarial_texts(family):
+    rng = random.Random(f"index-adversarial/{family}")
+    text, sigma, epsilon = FAMILIES[family](rng)
+    assert 300 <= len(text) <= 2000
+    eti = preprocess_text(Text(text, sigma))
+    crossed = 0
+    for pattern in patterns_for(rng, text, sigma):
+        ph = preprocess_pattern(eti, pattern, epsilon)
+        for op in ops_for(rng, text, pattern, epsilon, sigma):
+            by = occurrence_classes(ph, op)
+            got = sorted(p for part in by.values() for p in part)
+            assert got == occurrences_after_oracle(text, pattern, op), (pattern, op)
+            if not isinstance(op, Delete) and by["cross"]:
+                crossed += 1
+    assert crossed > 0
+
+
+def test_packed_groups_match_one_set_per_group():
+    rng = random.Random(23)
+    for _ in range(150):
+        sigma = rng.choice([1, 2, 3, 5])
+        n = rng.randint(1, 40)
+        text = [rng.randrange(sigma) for _ in range(n)]
+        m = rng.randint(1, 12)
+        if m <= n and rng.random() < 0.6:
+            j = rng.randint(0, n - m)
+            pattern = text[j : j + m]
+        else:
+            pattern = [rng.randrange(sigma) for _ in range(m)]
+        epsilon = rng.randint(0, 5)
+        eti = preprocess_text(Text(text, sigma))
+        ph = preprocess_pattern(eti, pattern, epsilon)
+        groups = build_context_groups(pattern, matching_statistics(eti.st_fwd, pattern), epsilon)
+        assert set(ph.groups) == set(groups)
+        for word, entries in groups.items():
+            gid = ph.groups[word]
+            base = gid * n
+            own = PredSet(entries, n)
+            # Ranks 0 and n - 1 sit next to the neighbouring groups' keys.
+            for r in range(n):
+                cov = ph.group_set.cover(base + r)
+                want = own.cover(r)
+                if want is None:
+                    assert cov is None, (text, pattern, word, r)
+                else:
+                    assert (cov.start - base, cov.end - base, cov.suffix_start) == want, (text, pattern, word, r)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from ephemedit.predecessor_sets import IntervalEntry, PredSet, build_predset, lookup_cover
+from ephemedit.predecessor_sets import IntervalEntry, PredSet
 
 
 def test_rejects_bad_entries():
@@ -20,7 +20,7 @@ def test_rejects_bad_entries():
 
 
 def test_small_hand_case():
-    ps = build_predset(
+    ps = PredSet(
         [IntervalEntry(2, 4, 7), IntervalEntry(6, 6, 1), IntervalEntry(9, 12, 3)],
         universe=16,
     )
@@ -34,18 +34,18 @@ def test_small_hand_case():
     assert ps.cover(5) is None
     assert ps.cover(6) == IntervalEntry(6, 6, 1)
     assert ps.cover(13) is None
-    assert lookup_cover(ps, 10) == (3, 12)
-    assert lookup_cover(ps, 1) is None
+    assert ps.cover(10) == IntervalEntry(9, 12, 3)
+    assert ps.cover(1) is None
 
 
 def test_empty_set_answers_nothing():
-    ps = build_predset([], universe=32)
+    ps = PredSet([], universe=32)
     assert ps.predecessor_index(31) == -1
     assert ps.cover(0) is None
 
 
 def test_single_entry_universe_one():
-    ps = build_predset([IntervalEntry(0, 0, 5)], universe=1)
+    ps = PredSet([IntervalEntry(0, 0, 5)], universe=1)
     assert ps.cover(0) == IntervalEntry(0, 0, 5)
 
 
@@ -62,7 +62,7 @@ def test_matches_bisect_small_universe():
     for _ in range(200):
         universe = rng.randint(1, 200)
         entries = _random_disjoint_entries(rng, universe, rng.randint(0, 12))
-        ps = build_predset(entries, universe)
+        ps = PredSet(entries, universe)
         keys = [e.start for e in entries]
         for q in range(universe):
             idx = bisect.bisect_right(keys, q) - 1
@@ -83,7 +83,7 @@ def test_large_sparse_universe():
         if e.start > prev_end:
             pruned.append(e)
             prev_end = e.end
-    ps = build_predset(pruned, universe)
+    ps = PredSet(pruned, universe)
     keys = [e.start for e in pruned]
     queries = [rng.randrange(universe) for _ in range(3000)]
     queries += [e.start for e in pruned] + [e.end for e in pruned]
