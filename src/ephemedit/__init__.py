@@ -15,17 +15,10 @@ from .ephemeral_index import (
     preprocess_pattern,
     preprocess_text,
 )
-from .pm_block_delete import BlockDeleteMatcher, occurrences_after_delete
-from .pm_ephemeral_edits import EditMatcher, Sma, build_sma, occurrences_after_edit
-from .prefix_suffix import ArithmeticProgression, PrefSufIndex, build_prefsuf, prefsuf
-from .text_core import (
-    AlphabetError,
-    SaInterval,
-    Text,
-    TextIndex,
-    build_text_index,
-    report_starts,
-)
+from .pm_block_delete import BlockDeleteMatcher
+from .pm_ephemeral_edits import EditMatcher, Sma, build_sma
+from .prefix_suffix import ArithmeticProgression, PrefSufIndex
+from .text_core import AlphabetError, SaInterval, Text, TextIndex
 
 __all__ = [
     "AlphabetError",
@@ -43,19 +36,13 @@ __all__ = [
     "Substitute",
     "Text",
     "TextIndex",
-    "build_prefsuf",
     "build_sma",
-    "build_text_index",
     "edited_length",
     "occurrence_classes",
     "occurrences_after",
-    "occurrences_after_delete",
-    "occurrences_after_edit",
     "occurrences_after_unsorted",
-    "prefsuf",
     "preprocess_pattern",
     "preprocess_text",
-    "report_starts",
     "validate_edit",
 ]
 

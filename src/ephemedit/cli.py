@@ -26,9 +26,10 @@ import sys
 import time
 from pathlib import Path
 
-from . import pm_block_delete, pm_ephemeral_edits
 from .edits import Delete, EditOp, Insert, Substitute, validate_edit
 from .ephemeral_index import occurrences_after, preprocess_pattern, preprocess_text
+from .pm_block_delete import BlockDeleteMatcher
+from .pm_ephemeral_edits import EditMatcher
 from .reference_oracle import occurrences_after_oracle
 from .text_core import Text
 
@@ -167,10 +168,10 @@ def _cmd_run(args) -> int:
             ph = preprocess_pattern(eti, pattern, args.epsilon)
             answer = lambda op: occurrences_after(ph, op)
         elif args.mode == "pm-del":
-            bd = pm_block_delete.preprocess(tx, pattern)
+            bd = BlockDeleteMatcher(tx, pattern)
             answer = lambda op: bd.occurrences_after_delete(op.first, op.last)
         else:
-            em = pm_ephemeral_edits.preprocess(tx, pattern)
+            em = EditMatcher(tx, pattern)
             answer = em.occurrences_after_edit
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -247,11 +248,11 @@ def _cmd_bench(args) -> int:
         print(f"preprocess pattern: {time.perf_counter() - t1:.3f} s")
         answer = lambda op: occurrences_after(ph, op)
     elif args.mode == "pm-del":
-        bd = pm_block_delete.preprocess(tx, pattern)
+        bd = BlockDeleteMatcher(tx, pattern)
         print(f"preprocess text+pattern: {time.perf_counter() - t0:.3f} s")
         answer = lambda op: bd.occurrences_after_delete(op.first, op.last)
     else:
-        em = pm_ephemeral_edits.preprocess(tx, pattern)
+        em = EditMatcher(tx, pattern)
         print(f"preprocess text+pattern: {time.perf_counter() - t0:.3f} s")
         answer = em.occurrences_after_edit
     if args.ops == 0:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from .edits import Delete, EditOp, Insert, Substitute, validate_edit
 from .pattern_trees import build_context_groups, build_tree_p, decompose_disjoint
 from .predecessor_sets import PredSet
-from .prefix_suffix import PrefSufIndex, build_prefsuf
+from .prefix_suffix import PrefSufIndex
 from .suffix_tree import SuffixTree, matching_statistics
 from .text_core import AlphabetError, Text, TextIndex
 
@@ -36,8 +36,6 @@ class EphemeralTextIndex:
     __slots__ = ("text", "fwd", "rev", "st_fwd", "st_rev")
 
     def __init__(self, text: Text):
-        if len(text) == 0:
-            raise ValueError("cannot index an empty text")
         self.text = text
         self.fwd = TextIndex(text)
         rev = Text(text.letters[::-1], text.sigma)
@@ -104,7 +102,7 @@ class PatternHandle:
         self.pattern = pat
         self.m = len(pat)
         self.epsilon = epsilon
-        self.psi = build_prefsuf(pat)
+        self.psi = PrefSufIndex(pat)
 
         n = eti.n
         ms_fwd = matching_statistics(eti.st_fwd, pat)

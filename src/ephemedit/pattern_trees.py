@@ -2,22 +2,27 @@
 
 `build_tree_p` arranges the pattern's suffixes into a tree where each
 suffix hangs under the longest other suffix that is a proper prefix of it.
-A suffix that occurs in the indexed text carries the suffix-array interval
-of its occurrences as its decoration.
+That tree is the Knuth-Morris-Pratt failure tree of the reversed pattern,
+so it comes from one border array. A suffix that occurs in the indexed
+text carries the suffix-array interval of its occurrences as its
+decoration.
 
-`decompose_disjoint` flattens the decorated intervals into disjoint pieces
-so that the piece covering a rank names the longest pattern suffix that is
-a prefix of that rank's text suffix. `build_context_groups` does the same
-per context: only suffixes immediately preceded in the pattern by a given
-short word take part, which is what queries about an inserted block need.
+Decorated intervals form a laminar family: two of them either nest or are
+disjoint. `_flatten_longest` cuts such a family into disjoint pieces with
+one stack pass, the innermost interval winning, so that the piece covering
+a rank names the longest member suffix that is a prefix of that rank's
+text suffix. `decompose_disjoint` flattens every decorated suffix after
+checking the decorations against the tree. `build_context_groups`
+flattens per context: only suffixes immediately preceded in the pattern by
+a given short word take part, which is what queries about an inserted
+block need.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from .predecessor_sets import IntervalEntry
-from .suffix_tree import MatchingStats, SuffixTree
+from .prefix_suffix import border_array
+from .suffix_tree import MatchingStats
 from .text_core import EMPTY_INTERVAL, SaInterval
 
 
@@ -47,10 +52,11 @@ class SuffixPrefixTree:
 def build_tree_p(pattern, ms: MatchingStats) -> SuffixPrefixTree:
     """Arrange the pattern's suffixes by prefix containment and decorate.
 
-    The parent of suffix i is found inside a suffix tree of the pattern
-    itself (letters compacted to ranks first): it is the nearest proper
-    ancestor of suffix i's node that is itself a whole suffix. Decorations
-    are read straight off the matching statistics.
+    Reversed, pattern[j:] is a prefix of pattern[i:] exactly when the
+    reversed pattern's first m - j letters are a border of its first
+    m - i, so the tree is the Knuth-Morris-Pratt failure tree of the
+    reversed pattern: par[i] = m - g[m - i] with g its border array.
+    Decorations are read straight off the matching statistics.
     """
     pat = [int(c) for c in pattern]
     m = len(pat)
@@ -58,26 +64,9 @@ def build_tree_p(pattern, ms: MatchingStats) -> SuffixPrefixTree:
         raise ValueError("pattern must be non-empty")
     if len(ms.ms_len) != m or len(ms.suf_interval) != m:
         raise ValueError("matching statistics do not match the pattern length")
-
-    uniques, reduced = np.unique(np.asarray(pat, dtype=np.int64), return_inverse=True)
-    stp = SuffixTree(reduced.tolist(), len(uniques))
-
-    # Nearest suffix-node ancestor (or self), pushed down by depth.
-    nsa = [-1] * stp.size
-    sstart = stp.sstart
-    par = stp.par
-    for v in sorted(range(1, stp.size), key=stp.sdepth.__getitem__):
-        nsa[v] = v if sstart[v] >= 0 else nsa[par[v]]
-
-    tree_par = [-1] * (m + 1)
-    nos = stp.node_of_suffix
-    for i in range(m):
-        u = nsa[par[nos[i]]]
-        tree_par[i] = m if u < 0 else sstart[u]
-
-    interval = [ms.suf_interval[i] for i in range(m)]
-    interval.append(EMPTY_INTERVAL)
-    return SuffixPrefixTree(pat, tree_par, interval)
+    g = border_array(pat[::-1])
+    tree_par = [m - g[m - i] for i in range(m)] + [-1]
+    return SuffixPrefixTree(pat, tree_par, list(ms.suf_interval) + [EMPTY_INTERVAL])
 
 
 def decompose_disjoint(tree: SuffixPrefixTree) -> list[IntervalEntry]:
@@ -86,38 +75,30 @@ def decompose_disjoint(tree: SuffixPrefixTree) -> list[IntervalEntry]:
     Every decorated node keeps the part of its interval not claimed by a
     decorated descendant; descendants spell longer suffixes, so the piece
     covering a rank always names the longest suffix prefixing that rank's
-    text suffix. Children are processed before parents (a descendant of i
-    always has a smaller index), each node forwarding the intervals of its
-    nearest decorated descendants upward.
+    text suffix. The decorations are first checked against the tree (a
+    decorated node's parent is decorated or the root, and its interval
+    nests in the parent's), then flattened like any context group.
     """
     m = tree.m
     par = tree.par
     interval = tree.interval
-    out: list[IntervalEntry] = []
-    pending: list[list[tuple[int, int]]] = [[] for _ in range(m + 1)]
+    members: list[tuple[int, int, int]] = []
     for i in range(m):
-        mine = pending[i]
-        if interval[i].is_empty:
-            if mine:
+        iv = interval[i]
+        if iv.is_empty:
+            continue
+        p = par[i]
+        if p < m:
+            piv = interval[p]
+            if piv.is_empty:
                 raise ValueError(
-                    f"suffix {i} is undecorated but a longer suffix extending "
+                    f"suffix {p} is undecorated but a longer suffix extending "
                     "it occurs in the text"
                 )
-            continue
-        lo, hi = interval[i].lo, interval[i].hi
-        mine.sort()
-        cursor = lo
-        for clo, chi in mine:
-            if not lo <= clo <= chi <= hi:
-                raise ValueError(f"decoration of suffix {i} does not nest")
-            if cursor < clo:
-                out.append(IntervalEntry(cursor, clo - 1, i))
-            cursor = chi + 1
-        if cursor <= hi:
-            out.append(IntervalEntry(cursor, hi, i))
-        pending[par[i]].append((lo, hi))
-    out.sort(key=lambda e: e.start)
-    return out
+            if not piv.lo <= iv.lo <= iv.hi <= piv.hi:
+                raise ValueError(f"decoration of suffix {p} does not nest")
+        members.append((iv.lo, iv.hi, i))
+    return _flatten_longest(members)
 
 
 def _flatten_longest(members: list[tuple[int, int, int]]) -> list[IntervalEntry]:

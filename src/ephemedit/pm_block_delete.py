@@ -17,7 +17,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 
-from .prefix_suffix import PrefSufIndex, build_prefsuf
+from .prefix_suffix import PrefSufIndex
 from .text_core import AlphabetError, Text
 
 
@@ -64,7 +64,7 @@ class BlockDeleteMatcher:
         self.pattern = pat
         self.n = len(t)
         self.m = m
-        self.psi: PrefSufIndex = build_prefsuf(pat)
+        self.psi = PrefSufIndex(pat)
         self.lpf = _kmp_states(t.letters, pat, self.psi.f)
         self.lsp = _kmp_states(t.letters[::-1], pat[::-1], self.psi.g)[::-1]
         self.idx = array("i", [p - m + 1 for p, k in enumerate(self.lpf) if k == m])
@@ -97,11 +97,3 @@ class BlockDeleteMatcher:
         if not 0 <= first <= last <= n - 1:
             raise ValueError(f"delete range [{first}, {last}] invalid for n={n}")
         return self._splice(*self._delete_seam(first, last))
-
-
-def preprocess(text, pattern) -> BlockDeleteMatcher:
-    return BlockDeleteMatcher(text, pattern)
-
-
-def occurrences_after_delete(matcher: BlockDeleteMatcher, first: int, last: int) -> list[int]:
-    return matcher.occurrences_after_delete(first, last)

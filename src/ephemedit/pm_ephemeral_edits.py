@@ -95,11 +95,3 @@ class EditMatcher(BlockDeleteMatcher):
         """Sorted pattern starts in the text after the edit."""
         validate_edit(op, self.n, self.text.sigma)
         return self._splice(*self._seam(op))
-
-
-def preprocess(text, pattern) -> EditMatcher:
-    return EditMatcher(text, pattern)
-
-
-def occurrences_after_edit(matcher: EditMatcher, op: EditOp) -> list[int]:
-    return matcher.occurrences_after_edit(op)

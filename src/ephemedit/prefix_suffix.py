@@ -1,6 +1,6 @@
 """Occurrences of a pattern across a junction of its own prefix and suffix.
 
-``build_prefsuf(P)`` preprocesses a pattern P of length m in O(m). A query
+``PrefSufIndex(P)`` preprocesses a pattern P of length m in O(m). A query
 ``(a, b)`` asks: writing W as the length-``a`` prefix of P followed by the
 length-``b`` suffix of P, at which offsets does P occur in W? The answer is
 always a single arithmetic progression, assembled from the border chains of
@@ -166,12 +166,3 @@ class PrefSufIndex:
                 # full progression with the smallest period as difference.
                 return ArithmeticProgression(t_min, pi, d // pi + 1)
         return ArithmeticProgression(t_min, d, 2)
-
-
-def build_prefsuf(pattern) -> PrefSufIndex:
-    return PrefSufIndex(pattern)
-
-
-def prefsuf(idx: PrefSufIndex, a: int, b: int) -> ArithmeticProgression:
-    """Offsets at which the pattern occurs in prefix(P, a) + suffix(P, b)."""
-    return idx.query(a, b)

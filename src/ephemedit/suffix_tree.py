@@ -16,6 +16,11 @@ suffix-array interval of its occurrences.
 sentinel that sorts below every letter, and extracts for each text position
 the longest pattern suffix beginning there. No engine calls it: the
 pattern-matching engines read the same table off a Knuth-Morris-Pratt scan.
+
+So the library builds suffix trees only over texts: the general engine's
+forward and reversed trees, and the joint tree above. The tree of a
+pattern's own suffixes comes from a border array instead (see
+`pattern_trees`).
 """
 
 from __future__ import annotations

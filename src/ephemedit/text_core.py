@@ -180,11 +180,11 @@ def suffix_array(letters) -> list[int]:
         return []
     if n == 1:
         return [0]
-    arr = np.asarray(list(letters), dtype=np.int64)
-    _, inv = np.unique(arr, return_inverse=True)
-    s = (inv + 1).tolist()
+    # Ranks from a dict rather than numpy, so letters need not fit int64.
+    rank = {c: r for r, c in enumerate(sorted(set(letters)), 1)}
+    s = [rank[c] for c in letters]
     s.append(0)
-    return _sais(s, int(inv.max()) + 2)[1:]
+    return _sais(s, len(rank) + 1)[1:]
 
 
 def inverse_permutation(sa: list[int]) -> list[int]:
@@ -287,6 +287,8 @@ class TextIndex:
     __slots__ = ("text", "sa", "isa", "lcp", "pos_min", "pos_max")
 
     def __init__(self, text: Text):
+        if len(text) == 0:
+            raise ValueError("cannot index an empty text")
         self.text = text
         self.sa = suffix_array(text.letters)
         self.isa = inverse_permutation(self.sa)
@@ -329,17 +331,3 @@ class TextIndex:
             if rmax < r:
                 stack.append((rmax + 1, r))
         return out
-
-
-def build_text_index(text) -> TextIndex:
-    """Index ``text`` (a Text, or any iterable of integer letters)."""
-    if not isinstance(text, Text):
-        text = Text(text)
-    if len(text) == 0:
-        raise ValueError("cannot index an empty text")
-    return TextIndex(text)
-
-
-def report_starts(idx: TextIndex, r: SaInterval, lo_pos: int, hi_pos: int) -> list[int]:
-    """Suffix starts of rank interval ``r`` within ``[lo_pos, hi_pos]``."""
-    return idx.report_starts(r, lo_pos, hi_pos)

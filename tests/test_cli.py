@@ -189,3 +189,16 @@ def test_bench_reports_latency(capsys):
         assert code == 0
         assert "per-op latency" in out
         assert "baseline" in out
+
+
+def test_token_letters_beyond_int64(tmp_path, capsys):
+    big = 2**63 + 5
+    t = tmp_path / "text.tok"
+    p = tmp_path / "pattern.tok"
+    s = tmp_path / "script.tok"
+    t.write_text(" ".join(str((0, big, 1, 2)[(i * 5 + i // 7) % 4]) for i in range(270)))
+    p.write_text(f"{big} 1")
+    s.write_text(f"D 0 0\nI 0 {big},1\nX 5 1\n")
+    code, out, err = run_cli(capsys, "run", t, p, s, "--tokens", "--verify")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 3

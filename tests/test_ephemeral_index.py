@@ -173,3 +173,26 @@ def test_differential_large_alphabet():
         for _ in range(30):
             op = _random_op(rng, n, sigma, 4)
             assert occurrences_after(ph, op) == occurrences_after_oracle(t, p, op), (t, p, op)
+
+
+def test_letters_beyond_int64():
+    # Text admits letters below max(2, n) ** 8, past 2 ** 63 from n = 235 on.
+    big = 2**63 + 5
+    letters = (0, 1, 2, big)
+    rng = random.Random(11)
+    t = [0, big, 1] + [rng.choice(letters) for _ in range(267)]
+    n = len(t)
+    eti = preprocess_text(Text(t))
+    for p in ([big, 1], [big], [1, big, big]):
+        ph = preprocess_pattern(eti, p, 3)
+        for _ in range(60):
+            block = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+            kind = rng.randrange(3)
+            if kind == 0:
+                op = Insert(rng.randint(-1, n - 1), block)
+            elif kind == 1:
+                q = rng.randrange(n)
+                op = Delete(q, min(n - 1, q + rng.randint(0, 5)))
+            else:
+                op = Substitute(rng.randint(0, n - len(block)), block)
+            assert occurrences_after(ph, op) == occurrences_after_oracle(t, p, op), (p, op)

@@ -14,25 +14,7 @@ from ephemedit.reference_oracle import naive_search, occurrences_after_oracle
 from ephemedit.suffix_tree import matching_statistics
 from ephemedit.text_core import Text
 
-
-def fibonacci_word(n: int) -> list[int]:
-    a, b = [0], [0, 1]
-    while len(b) < n:
-        a, b = b, b + a
-    return b[:n]
-
-
-def periodic_with_noise(rng: random.Random, n: int) -> list[int]:
-    word = [0, 1, 0, 2, 1, 3, 1]
-    t = [word[i % len(word)] for i in range(n)]
-    for i in rng.sample(range(n), n // 40):
-        t[i] = rng.randrange(4)
-    return t
-
-
-def square(rng: random.Random, n: int) -> list[int]:
-    x = [rng.randrange(3) for _ in range(n // 2)]
-    return x + x
+from families import fibonacci_word, periodic_with_noise, square
 
 
 # name -> (text, sigma, epsilon), built from a fixed seed per family.

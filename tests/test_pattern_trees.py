@@ -12,7 +12,9 @@ from ephemedit.pattern_trees import (
 )
 from ephemedit.predecessor_sets import IntervalEntry
 from ephemedit.suffix_tree import build_suffix_tree, matching_statistics
-from ephemedit.text_core import EMPTY_INTERVAL, SaInterval, Text, build_text_index
+from ephemedit.text_core import EMPTY_INTERVAL, SaInterval, Text, TextIndex
+
+from families import fibonacci_word, periodic_with_noise, square
 
 EXAMPLE = list(b"ananabannabanaana")
 PATTERN = list(b"banana")
@@ -56,6 +58,38 @@ def test_example_context_groups():
     assert set(by_str) == {"a", "b", "n", "na", "an", "ba"}
 
 
+# name -> text of n letters, built from a fixed seed per family.
+FAMILIES = {
+    "unary": lambda rng, n: [0] * n,
+    "fibonacci": lambda rng, n: fibonacci_word(n),
+    "periodic-noise": periodic_with_noise,
+    "square": square,
+    "large-sigma": lambda rng, n: [rng.randrange(5000) for _ in range(n)],
+}
+
+
+def brute_parents(p):
+    """par[i] is the smallest j > i with p[j:] a prefix of p[i:], else m."""
+    m = len(p)
+    par = [
+        next((j for j in range(i + 1, m) if p[j] == p[i] and p[j:] == p[i : i + m - j]), m)
+        for i in range(m)
+    ]
+    return par + [-1]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_parents_match_brute_force_at_size(family):
+    rng = random.Random(f"tree-p/{family}")
+    text = FAMILIES[family](rng, 1000)
+    st = build_suffix_tree(text)
+    for m in (1, 2, 7, 64, 250, 500):
+        j = rng.randrange(len(text) - m + 1)
+        p = text[j : j + m]
+        tree = build_tree_p(p, matching_statistics(st, p))
+        assert tree.par == brute_parents(p), (family, m)
+
+
 def test_single_letter_pattern_absent_from_text():
     t = list(b"aaa")
     ms = matching_statistics(build_suffix_tree(t), list(b"z"))
@@ -88,17 +122,34 @@ def longest_suffix_prefixing(p, tail):
     return None
 
 
+def family_cases():
+    """Texts of 400 letters from each family, with windows of up to 120
+    letters cut from them and a short pattern drawn at random."""
+    for family in sorted(FAMILIES):
+        rng = random.Random(f"decompose/{family}")
+        t = FAMILIES[family](rng, 400)
+        for m in (1, 3, 17, 120):
+            j = rng.randrange(len(t) - m + 1)
+            yield t, t[j : j + m]
+        yield t, [rng.randrange(max(t) + 2) for _ in range(9)]
+
+
 def test_decomposition_semantics_random():
     """Covering entry of rank isa[j] names the longest pattern suffix that
     prefixes the text suffix starting at j."""
     rng = random.Random(17)
+    cases = []
     for _ in range(150):
         n = rng.randint(1, 40)
         m = rng.randint(1, 8)
         t = [rng.randrange(2) for _ in range(n)]
         p = [rng.randrange(2) for _ in range(m)]
-        idx = build_text_index(Text(t, 2))
-        ms = matching_statistics(build_suffix_tree(t, sigma=2), p)
+        cases.append((t, p))
+    for t, p in cases + list(family_cases()):
+        n, m = len(t), len(p)
+        sigma = max(2, max(t) + 1)
+        idx = TextIndex(Text(t, sigma))
+        ms = matching_statistics(build_suffix_tree(t, sigma=sigma), p)
         entries = decompose_disjoint(build_tree_p(p, ms))
         prev_end = -1
         for e in entries:
@@ -123,7 +174,7 @@ def test_group_semantics_random():
         m = rng.randint(2, 8)
         t = [rng.randrange(2) for _ in range(n)]
         p = [rng.randrange(2) for _ in range(m)]
-        idx = build_text_index(Text(t, 2))
+        idx = TextIndex(Text(t, 2))
         ms = matching_statistics(build_suffix_tree(t, sigma=2), p)
         groups = build_context_groups(p, ms, max_len=2)
         seen_members = set()

@@ -6,7 +6,7 @@ import pytest
 
 from ephemedit.ephemeral_index import occurrences_after, preprocess_pattern, preprocess_text
 from ephemedit.edits import Delete
-from ephemedit.pm_block_delete import BlockDeleteMatcher, occurrences_after_delete, preprocess
+from ephemedit.pm_block_delete import BlockDeleteMatcher
 from ephemedit.reference_oracle import occurrences_after_oracle
 from ephemedit.text_core import Text
 
@@ -16,7 +16,7 @@ PAT = list(b"ababab")
 
 @pytest.fixture(scope="module")
 def matcher():
-    return preprocess(Text(TEXT, 256), PAT)
+    return BlockDeleteMatcher(Text(TEXT, 256), PAT)
 
 
 def test_worked_delete(matcher):
@@ -31,23 +31,19 @@ def test_junction_tables(matcher):
     assert len(matcher.idx) == 0  # "ababab" never occurs unedited
 
 
-def test_free_function_matches_method(matcher):
-    assert occurrences_after_delete(matcher, 5, 6) == [1, 3]
-
-
 def test_delete_everything(matcher):
     assert matcher.occurrences_after_delete(0, len(TEXT) - 1) == []
 
 
 def test_result_shorter_than_pattern():
-    m = preprocess(Text(list(b"abcabc"), 256), list(b"abc"))
+    m = BlockDeleteMatcher(Text(list(b"abcabc"), 256), list(b"abc"))
     assert m.occurrences_after_delete(1, 4) == []
     assert m.occurrences_after_delete(3, 5) == [0]
 
 
 def test_unshifted_and_shifted_survivors():
     # "ana" occurrences at 0,2,11,14; deleting 8..9 keeps the outer ones.
-    m = preprocess(Text(list(b"ananabannabanaana"), 256), list(b"ana"))
+    m = BlockDeleteMatcher(Text(list(b"ananabannabanaana"), 256), list(b"ana"))
     assert m.occurrences_after_delete(8, 9) == [0, 2, 9, 12]
     assert m.occurrences_after_delete(16, 16) == [0, 2, 11]
 
@@ -66,7 +62,7 @@ def test_differential_random():
         m = rng.randint(1, 12)
         t = [rng.randrange(sigma) for _ in range(n)]
         p = [rng.randrange(sigma) for _ in range(m)]
-        bd = preprocess(Text(t, sigma), p)
+        bd = BlockDeleteMatcher(Text(t, sigma), p)
         for _ in range(30):
             first = rng.randrange(n)
             last = rng.randint(first, n - 1)
@@ -83,7 +79,7 @@ def test_agrees_with_general_engine():
         t = [rng.randrange(3) for _ in range(n)]
         p = [rng.randrange(3) for _ in range(m)]
         tx = Text(t, 3)
-        bd = preprocess(tx, p)
+        bd = BlockDeleteMatcher(tx, p)
         ph = preprocess_pattern(preprocess_text(tx), p, epsilon=1)
         for _ in range(20):
             first = rng.randrange(n)

@@ -5,13 +5,8 @@ import random
 import pytest
 
 from ephemedit.edits import Delete, Insert, Substitute
-from ephemedit.pm_block_delete import preprocess as preprocess_del
-from ephemedit.pm_ephemeral_edits import (
-    EditMatcher,
-    build_sma,
-    occurrences_after_edit,
-    preprocess,
-)
+from ephemedit.pm_block_delete import BlockDeleteMatcher
+from ephemedit.pm_ephemeral_edits import EditMatcher, build_sma
 from ephemedit.reference_oracle import occurrences_after_oracle
 from ephemedit.text_core import Text
 
@@ -21,13 +16,12 @@ PAT = list(b"ababab")
 
 @pytest.fixture(scope="module")
 def matcher():
-    return preprocess(Text(TEXT, 256), PAT)
+    return EditMatcher(Text(TEXT, 256), PAT)
 
 
 def test_worked_insert(matcher):
     assert matcher.junction_arms(Insert(4, b"a")) == (4, 2)
     assert matcher.occurrences_after_edit(Insert(4, b"a")) == [1]
-    assert occurrences_after_edit(matcher, Insert(4, b"a")) == [1]
 
 
 def test_substitute_and_delete(matcher):
@@ -51,7 +45,7 @@ def test_multi_letter_delete_still_works(matcher):
 
 
 def test_single_letter_pattern():
-    m = preprocess(Text(list(b"bbb"), 256), list(b"a"))
+    m = EditMatcher(Text(list(b"bbb"), 256), list(b"a"))
     assert m.occurrences_after_edit(Insert(0, b"a")) == [1]
     assert m.occurrences_after_edit(Substitute(2, b"a")) == [2]
     assert m.occurrences_after_edit(Delete(0, 0)) == []
@@ -97,8 +91,8 @@ def test_matches_block_delete_matcher_on_deletes():
         t = [rng.randrange(3) for _ in range(n)]
         p = [rng.randrange(3) for _ in range(m)]
         tx = Text(t, 3)
-        em = preprocess(tx, p)
-        bd = preprocess_del(tx, p)
+        em = EditMatcher(tx, p)
+        bd = BlockDeleteMatcher(tx, p)
         for _ in range(15):
             first = rng.randrange(n)
             last = rng.randint(first, n - 1)
@@ -125,7 +119,7 @@ def test_differential_random():
         m = rng.randint(1, 12)
         t = [rng.randrange(sigma) for _ in range(n)]
         p = [rng.randrange(sigma) for _ in range(m)]
-        em = preprocess(Text(t, sigma), p)
+        em = EditMatcher(Text(t, sigma), p)
         for _ in range(30):
             op = _random_single_letter_op(rng, n, sigma)
             got = em.occurrences_after_edit(op)
@@ -133,5 +127,6 @@ def test_differential_random():
 
 
 def test_matcher_type():
-    em = preprocess(Text([0, 1], 2), [0])
+    em = EditMatcher(Text([0, 1], 2), [0])
     assert isinstance(em, EditMatcher)
+    assert isinstance(em, BlockDeleteMatcher)

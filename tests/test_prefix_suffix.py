@@ -14,8 +14,6 @@ from ephemedit.prefix_suffix import (
     ArithmeticProgression,
     PrefSufIndex,
     border_array,
-    build_prefsuf,
-    prefsuf,
     z_array,
 )
 from ephemedit.reference_oracle import oracle_prefsuf
@@ -45,25 +43,25 @@ def test_progression_validation():
 
 
 def test_query_hand_cases():
-    psi = build_prefsuf(list(b"ababab"))
+    psi = PrefSufIndex(list(b"ababab"))
     assert psi.query(4, 2).to_list() == [0]
     assert psi.query(4, 4).to_list() == [0, 2]
     assert psi.query(6, 6).to_list() == [0, 2, 4, 6]
     assert psi.query(2, 2).to_list() == []
     assert psi.query(0, 6).to_list() == [0]
-    assert prefsuf(psi, 5, 5).to_list() == [0, 2, 4]
+    assert psi.query(5, 5).to_list() == [0, 2, 4]
 
-    aas = build_prefsuf(list(b"aaaa"))
+    aas = PrefSufIndex(list(b"aaaa"))
     assert aas.query(3, 3).to_list() == [0, 1, 2]
     assert aas.query(4, 0).to_list() == [0]
 
-    single = build_prefsuf([7])
+    single = PrefSufIndex([7])
     assert single.query(1, 1).to_list() == [0, 1]
     assert single.query(0, 0).to_list() == []
 
 
 def test_query_rejects_bad_arms():
-    psi = build_prefsuf(list(b"abc"))
+    psi = PrefSufIndex(list(b"abc"))
     with pytest.raises(ValueError):
         psi.query(4, 0)
     with pytest.raises(ValueError):
@@ -87,6 +85,6 @@ def test_exhaustive_binary_up_to_nine():
 def test_query_matches_oracle_random(p, data):
     a = data.draw(st.integers(0, len(p)))
     b = data.draw(st.integers(0, len(p)))
-    got = build_prefsuf(p).query(a, b)
+    got = PrefSufIndex(p).query(a, b)
     assert got.to_list() == oracle_prefsuf(p, a, b)
     assert got.diff > 0

@@ -11,10 +11,8 @@ from ephemedit.text_core import (
     SaInterval,
     Text,
     TextIndex,
-    build_text_index,
     inverse_permutation,
     lcp_array,
-    report_starts,
     suffix_array,
 )
 
@@ -130,14 +128,14 @@ def rank_interval(idx: TextIndex, pattern: list[int]) -> SaInterval:
 
 def test_report_starts_on_example():
     # Reported positions come back in recursion order, so compare as sets.
-    idx = build_text_index(Text(EXAMPLE))
+    idx = TextIndex(Text(EXAMPLE))
     ana = rank_interval(idx, list(b"ana"))
     assert ana == SaInterval(4, 7)
     assert sorted(idx.report_starts(ana, 0, 8)) == [0, 2]
     assert sorted(idx.report_starts(ana, 10, 14)) == [11, 14]
     assert sorted(idx.report_starts(ana, 0, 16)) == [0, 2, 11, 14]
     assert idx.report_starts(ana, 5, 10) == []
-    assert report_starts(idx, EMPTY_INTERVAL, 0, 16) == []
+    assert idx.report_starts(EMPTY_INTERVAL, 0, 16) == []
     ban = rank_interval(idx, list(b"ban"))
     assert ban == SaInterval(9, 10)
     # sa[4..6] = 14, 11, 2; only position 2 falls inside [0, 4].
@@ -147,7 +145,7 @@ def test_report_starts_on_example():
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=50), st.data())
 def test_report_starts_matches_filter(letters, data):
-    idx = build_text_index(Text(letters, 3))
+    idx = TextIndex(Text(letters, 3))
     n = len(letters)
     lo = data.draw(st.integers(0, n - 1))
     hi = data.draw(st.integers(lo, n - 1))
@@ -159,13 +157,13 @@ def test_report_starts_matches_filter(letters, data):
     assert len(set(got)) == len(got)
 
 
-def test_build_text_index_rejects_empty():
+def test_text_index_rejects_empty():
     with pytest.raises(ValueError):
-        build_text_index(Text([], 1))
+        TextIndex(Text([], 1))
 
 
 def test_index_arrays_are_consistent():
-    idx = build_text_index(Text(EXAMPLE))
+    idx = TextIndex(Text(EXAMPLE))
     assert idx.n == 17
     assert idx.sa == EXAMPLE_SA
     assert idx.lcp == EXAMPLE_LCP
