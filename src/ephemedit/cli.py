@@ -230,6 +230,15 @@ def _cmd_bench(args) -> int:
     if m > n:
         print("bench samples the pattern from the text; need m <= n", file=sys.stderr)
         return 2
+    if args.ops < 0 or args.ops == 1:
+        print("--ops must be 0 (preprocessing only) or at least 2", file=sys.stderr)
+        return 2
+    if args.baseline_samples < 1:
+        print("--baseline-samples must be at least 1", file=sys.stderr)
+        return 2
+    if args.mode == "index" and args.epsilon < 1:
+        print("index mode needs --epsilon of at least 1", file=sys.stderr)
+        return 2
     text = [rng.randrange(sigma) for _ in range(n)]
     j = rng.randint(0, n - m)
     pattern = text[j : j + m]

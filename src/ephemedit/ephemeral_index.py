@@ -9,7 +9,9 @@ and nothing is mutated, so edits can be queried in any order.
 An edit splits the text into a left part L, a block M (empty for deletes),
 and a right part R. Occurrences of the pattern in L·M·R fall into six
 classes: inside L, inside R, inside M, and three classes touching a seam.
-Occurrences inside L or R are reported straight off the suffix array.
+Occurrences inside R are the pattern's starts at or after R's first
+position, walked on the forward suffix array; occurrences inside L are
+the same walk for the reversed pattern on the reversed index.
 Each seam class reduces to occurrences of the pattern in a window built
 from one of its own prefixes glued to one of its own suffixes, answered by
 `prefix_suffix` as a single progression. The prefix arm is the longest
@@ -40,8 +42,8 @@ class EphemeralTextIndex:
         self.fwd = TextIndex(text)
         rev = Text(text.letters[::-1], text.sigma)
         self.rev = TextIndex(rev)
-        self.st_fwd = SuffixTree(text, sa=self.fwd.sa, lcp=self.fwd.lcp)
-        self.st_rev = SuffixTree(rev, sa=self.rev.sa, lcp=self.rev.lcp)
+        self.st_fwd = SuffixTree(text, sa=self.fwd.sa)
+        self.st_rev = SuffixTree(rev, sa=self.rev.sa)
 
     @property
     def n(self) -> int:
@@ -77,6 +79,7 @@ class PatternHandle:
         "epsilon",
         "psi",
         "interval",
+        "rev_interval",
         "main_fwd",
         "main_rev",
         "groups",
@@ -124,6 +127,7 @@ class PatternHandle:
         self.tree_rev = build_tree_p(rev_pat, ms_rev)
         self.main_rev = PredSet(decompose_disjoint(self.tree_rev), n)
         self.interval = ms_fwd.suf_interval[0]
+        self.rev_interval = ms_rev.suf_interval[0]
 
 
 def preprocess_pattern(eti: EphemeralTextIndex, pattern, epsilon: int) -> PatternHandle:
@@ -196,11 +200,13 @@ def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:
         "block": [],
     }
 
+    # A start s <= ell - m is a start n - m - s >= n - ell of the reversed
+    # pattern in the reversed text.
     if ell >= m:
-        out["left"] = eti.fwd.report_starts(ph.interval, 0, ell - m)
+        out["left"] = [n - m - s for s in eti.rev.report_starts(ph.rev_interval, n - ell)]
     if rp <= n - m:
         shift = ell + blen - rp
-        out["right"] = [x + shift for x in eti.fwd.report_starts(ph.interval, rp, n - m)]
+        out["right"] = [x + shift for x in eti.fwd.report_starts(ph.interval, rp)]
 
     a = _left_arm(ph, ell) if ell > 0 else 0
     psi = ph.psi

@@ -46,6 +46,9 @@ class SuffixTree:
     subtree), `sstart` (suffix start if the node spells a whole suffix,
     else -1). `node_of_suffix[i]` is the node spelling the suffix at i;
     entry n stands for the empty suffix and maps to the root.
+
+    A suffix array passed as `sa` is kept as the tree's own, not copied;
+    the LCP array is computed from it and dropped after the build.
     """
 
     __slots__ = (
@@ -64,7 +67,7 @@ class SuffixTree:
         "slink",
     )
 
-    def __init__(self, text, sigma: int | None = None, sa=None, lcp=None):
+    def __init__(self, text, sigma: int | None = None, sa=None):
         t = text if isinstance(text, Text) else Text(text, sigma)
         letters = t.letters
         n = len(letters)
@@ -72,10 +75,7 @@ class SuffixTree:
             raise ValueError("cannot build a suffix tree of an empty text")
         if sa is None:
             sa = suffix_array(letters)
-        if lcp is None:
-            lcp = lcp_array(letters, sa)
-        sa = [int(x) for x in sa]
-        lcp = [int(x) for x in lcp]
+        lcp = lcp_array(letters, sa)
 
         par = [-1]
         sdepth = [0]
@@ -153,14 +153,6 @@ class SuffixTree:
 
     def is_suffix_node(self, v: int) -> bool:
         return self.sstart[v] >= 0
-
-    def edge_label(self, v: int) -> list[int]:
-        """Letters on the edge leading into v (empty for the root)."""
-        p = self.par[v]
-        if p < 0:
-            return []
-        start = self.sa[self.lo[v]]
-        return self.text[start + self.sdepth[p] : start + self.sdepth[v]]
 
     def node_string(self, v: int) -> list[int]:
         """The full string a node spells, for checks on small trees."""

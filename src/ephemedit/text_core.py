@@ -1,5 +1,6 @@
-"""Core text indexing: suffix array, LCP array, range min/max tables,
-and occurrence reporting over suffix array intervals.
+"""Core text indexing: suffix array, its inverse, a range-max table over
+suffix start positions, and one-sided occurrence reporting over suffix
+array intervals. The LCP array is computed here too, for suffix trees.
 
 Texts are sequences of integer letters. The alphabet may be polynomial in
 the text length (see ALPHABET_EXPONENT), which covers byte data as well as
@@ -217,21 +218,20 @@ def lcp_array(letters, sa: list[int]) -> list[int]:
 
 
 class ArgRmq:
-    """Sparse table answering range arg-min or arg-max in O(1).
+    """Sparse table answering range arg-max in O(1).
 
     Stores indices (int32) per doubling level, built with vectorized
     comparisons. Ties resolve to the leftmost index.
     """
 
-    __slots__ = ("values", "rows", "_maximum")
+    __slots__ = ("values", "rows")
 
-    def __init__(self, values, maximum: bool = False):
+    def __init__(self, values):
         v = np.asarray(values, dtype=np.int64)
         n = len(v)
         if n == 0:
             raise ValueError("ArgRmq needs at least one value")
         self.values = v
-        self._maximum = maximum
         rows = [np.arange(n, dtype=np.int32)]
         span = 2
         while span <= n:
@@ -239,26 +239,19 @@ class ArgRmq:
             m = n - span + 1
             left = prev[:m]
             right = prev[span // 2 : span // 2 + m]
-            if maximum:
-                better = v[right] > v[left]
-            else:
-                better = v[right] < v[left]
-            rows.append(np.where(better, right, left))
+            rows.append(np.where(v[right] > v[left], right, left))
             span *= 2
         self.rows = rows
 
     def query(self, lo: int, hi: int) -> int:
-        """Index of the best value among positions ``lo..hi`` inclusive."""
+        """Index of the largest value among positions ``lo..hi`` inclusive."""
         if lo > hi:
             raise ValueError(f"empty range [{lo}, {hi}]")
         k = (hi - lo + 1).bit_length() - 1
         row = self.rows[k]
         a = int(row[lo])
         b = int(row[hi - (1 << k) + 1])
-        va, vb = self.values[a], self.values[b]
-        if self._maximum:
-            return b if vb > va else a
-        return b if vb < va else a
+        return b if self.values[b] > self.values[a] else a
 
 
 @dataclass(frozen=True)
@@ -281,10 +274,10 @@ EMPTY_INTERVAL = SaInterval(0, -1)
 
 
 class TextIndex:
-    """Suffix array, its inverse, the LCP array, and range min/max tables
-    over suffix start positions, for one text."""
+    """Suffix array, its inverse, and a range-max table over suffix start
+    positions, for one text."""
 
-    __slots__ = ("text", "sa", "isa", "lcp", "pos_min", "pos_max")
+    __slots__ = ("text", "sa", "isa", "pos_max")
 
     def __init__(self, text: Text):
         if len(text) == 0:
@@ -292,27 +285,24 @@ class TextIndex:
         self.text = text
         self.sa = suffix_array(text.letters)
         self.isa = inverse_permutation(self.sa)
-        self.lcp = lcp_array(text.letters, self.sa)
-        self.pos_min = ArgRmq(self.sa)
-        self.pos_max = ArgRmq(self.sa, maximum=True)
+        self.pos_max = ArgRmq(self.sa)
 
     @property
     def n(self) -> int:
         return len(self.text)
 
-    def report_starts(self, interval: SaInterval, lo: int, hi: int) -> list[int]:
-        """All suffix start positions within ``interval`` that fall in the
-        position window ``[lo, hi]``, in no particular order.
+    def report_starts(self, interval: SaInterval, lo: int) -> list[int]:
+        """All suffix start positions within ``interval`` that are at least
+        ``lo``, in no particular order.
 
-        Recursive splitting at the range maximum, pruning subranges whose
-        positions all miss the window. When one side of the window is
-        unbounded the work is linear in the number of results.
+        Splits at the range maximum and drops any subrange whose maximum
+        is below ``lo``, so every range-max query either reports a start
+        or ends a branch: at most 2k + 1 queries for k starts.
         """
         out: list[int] = []
-        if interval.is_empty or lo > hi:
+        if interval.is_empty:
             return out
         sa = self.sa
-        pos_min = self.pos_min
         pos_max = self.pos_max
         stack = [(interval.lo, interval.hi)]
         while stack:
@@ -321,11 +311,7 @@ class TextIndex:
             v = sa[rmax]
             if v < lo:
                 continue
-            if v > hi:
-                if sa[pos_min.query(l, r)] > hi:
-                    continue
-            else:
-                out.append(v)
+            out.append(v)
             if l < rmax:
                 stack.append((l, rmax - 1))
             if rmax < r:

@@ -191,6 +191,22 @@ def test_bench_reports_latency(capsys):
         assert "baseline" in out
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ("--ops", "1"),
+        ("--ops", "-3"),
+        ("--baseline-samples", "0"),
+        ("--epsilon", "0"),
+        ("--epsilon", "-2"),
+    ],
+)
+def test_bench_rejects_bad_counts(capsys, bad):
+    code, _, err = run_cli(capsys, "bench", "-n", "200", "-m", "4", *bad)
+    assert code == 2
+    assert bad[0] in err
+
+
 def test_token_letters_beyond_int64(tmp_path, capsys):
     big = 2**63 + 5
     t = tmp_path / "text.tok"

@@ -13,7 +13,7 @@ from ephemedit.ephemeral_index import (
     preprocess_text,
 )
 from ephemedit.reference_oracle import occurrences_after_oracle
-from ephemedit.text_core import AlphabetError, Text
+from ephemedit.text_core import AlphabetError, ArgRmq, Text
 
 EXAMPLE = list(b"ananabannabanaana")
 PATTERN = list(b"banana")
@@ -122,6 +122,36 @@ def test_classes_partition_the_answer(example_handle):
 def test_unsorted_variant_matches_sorted(example_handle):
     op = Insert(11, b"na")
     assert sorted(occurrences_after_unsorted(example_handle, op)) == [10]
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        Insert(8, (1,)),
+        Insert(1500, (0, 1)),
+        Insert(2990, (2,)),
+        Delete(700, 1400),
+        Substitute(2993, (0, 0)),
+    ],
+)
+def test_unedited_occurrences_cost_two_range_max_queries_each(monkeypatch, op):
+    """Reporting the matches inside L and inside R is output-sensitive on
+    both sides, also when one window is short and the other long."""
+    eti = preprocess_text(Text([i % 3 for i in range(3000)], 3))
+    ph = preprocess_pattern(eti, [0, 1, 2, 0, 1, 2], epsilon=2)
+    calls = 0
+    query = ArgRmq.query
+
+    def counted(self, lo, hi):
+        nonlocal calls
+        calls += 1
+        return query(self, lo, hi)
+
+    monkeypatch.setattr(ArgRmq, "query", counted)
+    by = occurrence_classes(ph, op)
+    monkeypatch.undo()
+    assert calls <= 2 * (len(by["left"]) + len(by["right"])) + 2
+    assert sorted(sum(by.values(), [])) == occurrences_after_oracle(eti.text.letters, ph.pattern, op)
 
 
 def _random_op(rng: random.Random, n: int, sigma: int, epsilon: int):

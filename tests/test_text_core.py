@@ -1,4 +1,4 @@
-"""Suffix array, LCP, range argmin/argmax, and position reporting."""
+"""Suffix array, LCP, range argmax, and one-sided position reporting."""
 
 import numpy as np
 import pytest
@@ -86,14 +86,15 @@ def test_text_validation():
 
 
 def test_argrmq_small():
-    rmq = ArgRmq([5, 3, 8, 3, 1])
-    assert rmq.query(0, 4) == 4
-    assert rmq.query(0, 3) == 1  # leftmost tie
-    assert rmq.query(2, 2) == 2
-    mx = ArgRmq([5, 3, 8, 3, 1], maximum=True)
-    assert mx.query(0, 4) == 2
+    rmq = ArgRmq([5, 3, 8, 3, 1, 8])
+    assert rmq.query(0, 5) == 2  # leftmost tie
+    assert rmq.query(3, 5) == 5
+    assert rmq.query(0, 1) == 0
+    assert rmq.query(4, 4) == 4
     with pytest.raises(ValueError):
         rmq.query(3, 2)
+    with pytest.raises(ValueError):
+        ArgRmq([])
 
 
 @settings(max_examples=150, deadline=None)
@@ -102,8 +103,7 @@ def test_argrmq_matches_scan(values, data):
     lo = data.draw(st.integers(0, len(values) - 1))
     hi = data.draw(st.integers(lo, len(values) - 1))
     window = values[lo : hi + 1]
-    assert values[ArgRmq(values).query(lo, hi)] == min(window)
-    assert values[ArgRmq(values, maximum=True).query(lo, hi)] == max(window)
+    assert ArgRmq(values).query(lo, hi) == lo + window.index(max(window))
 
 
 def test_sa_interval():
@@ -127,19 +127,32 @@ def rank_interval(idx: TextIndex, pattern: list[int]) -> SaInterval:
 
 
 def test_report_starts_on_example():
-    # Reported positions come back in recursion order, so compare as sets.
+    # Reported positions come back in walk order, so compare sorted.
     idx = TextIndex(Text(EXAMPLE))
     ana = rank_interval(idx, list(b"ana"))
     assert ana == SaInterval(4, 7)
-    assert sorted(idx.report_starts(ana, 0, 8)) == [0, 2]
-    assert sorted(idx.report_starts(ana, 10, 14)) == [11, 14]
-    assert sorted(idx.report_starts(ana, 0, 16)) == [0, 2, 11, 14]
-    assert idx.report_starts(ana, 5, 10) == []
-    assert idx.report_starts(EMPTY_INTERVAL, 0, 16) == []
+    assert sorted(idx.report_starts(ana, 0)) == [0, 2, 11, 14]
+    assert sorted(idx.report_starts(ana, 3)) == [11, 14]
+    assert idx.report_starts(ana, 14) == [14]
+    assert idx.report_starts(ana, 15) == []
+    assert idx.report_starts(EMPTY_INTERVAL, 0) == []
     ban = rank_interval(idx, list(b"ban"))
     assert ban == SaInterval(9, 10)
-    # sa[4..6] = 14, 11, 2; only position 2 falls inside [0, 4].
-    assert idx.report_starts(SaInterval(4, 6), 0, 4) == [2]
+    # sa[4..6] = 14, 11, 2; only position 2 falls below 3.
+    assert sorted(idx.report_starts(SaInterval(4, 6), 2)) == [2, 11, 14]
+    assert sorted(idx.report_starts(SaInterval(4, 6), 3)) == [11, 14]
+
+
+class CountedRmq:
+    """Wraps a range-max table and counts its queries."""
+
+    def __init__(self, rmq: ArgRmq):
+        self.rmq = rmq
+        self.calls = 0
+
+    def query(self, lo: int, hi: int) -> int:
+        self.calls += 1
+        return self.rmq.query(lo, hi)
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,14 +160,16 @@ def test_report_starts_on_example():
 def test_report_starts_matches_filter(letters, data):
     idx = TextIndex(Text(letters, 3))
     n = len(letters)
-    lo = data.draw(st.integers(0, n - 1))
-    hi = data.draw(st.integers(lo, n - 1))
+    lo = data.draw(st.integers(0, n))
     rlo = data.draw(st.integers(0, n - 1))
     rhi = data.draw(st.integers(rlo, n - 1))
-    got = idx.report_starts(SaInterval(rlo, rhi), lo, hi)
-    want = sorted(idx.sa[r] for r in range(rlo, rhi + 1) if lo <= idx.sa[r] <= hi)
+    idx.pos_max = counted = CountedRmq(idx.pos_max)
+    got = idx.report_starts(SaInterval(rlo, rhi), lo)
+    want = sorted(idx.sa[r] for r in range(rlo, rhi + 1) if idx.sa[r] >= lo)
     assert sorted(got) == want
     assert len(set(got)) == len(got)
+    # Every query reports a start or ends a branch.
+    assert counted.calls <= 2 * len(got) + 1
 
 
 def test_text_index_rejects_empty():
@@ -166,5 +181,5 @@ def test_index_arrays_are_consistent():
     idx = TextIndex(Text(EXAMPLE))
     assert idx.n == 17
     assert idx.sa == EXAMPLE_SA
-    assert idx.lcp == EXAMPLE_LCP
-    assert int(np.argmin(idx.pos_min.values)) == idx.isa[0]
+    assert lcp_array(EXAMPLE, idx.sa) == EXAMPLE_LCP
+    assert int(np.argmax(idx.pos_max.values)) == idx.isa[idx.n - 1]
