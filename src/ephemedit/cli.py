@@ -110,12 +110,8 @@ def _parse_script(path: str, tokens: bool) -> list[tuple[int, EditOp]]:
 def _check_op(op: EditOp, mode: str, n: int, sigma: int, epsilon: int, line_no: int) -> None:
     if mode == "pm-del" and not isinstance(op, Delete):
         raise ScriptError(line_no, "pm-del accepts only D operations")
-    if mode == "pm-edit":
-        if isinstance(op, Delete):
-            if op.first != op.last:
-                raise ScriptError(line_no, "pm-edit deletes one letter at a time")
-        elif len(op.block) != 1:
-            raise ScriptError(line_no, "pm-edit accepts single-letter blocks only")
+    if mode == "pm-edit" and not isinstance(op, Delete) and len(op.block) != 1:
+        raise ScriptError(line_no, "pm-edit accepts single-letter blocks only")
     if mode == "index" and not isinstance(op, Delete) and len(op.block) > epsilon:
         raise ScriptError(
             line_no, f"block of length {len(op.block)} exceeds epsilon={epsilon}"
@@ -213,8 +209,7 @@ def _random_ops(rng: random.Random, mode: str, n: int, sigma: int, epsilon: int,
             ops.append(Insert(rng.randint(-1, n - 1), tuple(rng.randrange(sigma) for _ in range(blen))))
         elif kind == 1:
             q = rng.randrange(n)
-            last = q if mode == "pm-edit" else min(n - 1, q + rng.randint(0, 16))
-            ops.append(Delete(q, last))
+            ops.append(Delete(q, min(n - 1, q + rng.randint(0, 16))))
         else:
             at = rng.randint(0, n - blen)
             ops.append(Substitute(at, tuple(rng.randrange(sigma) for _ in range(blen))))

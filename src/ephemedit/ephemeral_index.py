@@ -7,19 +7,18 @@ where the pattern would occur in the edited text. Nothing is materialized
 and nothing is mutated, so edits can be queried in any order.
 
 An edit splits the text into a left part L, a block M (empty for deletes),
-and a right part R. Occurrences of the pattern in L·M·R fall into six
-classes: inside L, inside R, inside M, and three classes touching a seam.
-Occurrences inside R are the pattern's starts at or after R's first
-position, walked on the forward suffix array; occurrences inside L are
-the same walk for the reversed pattern on the reversed index.
-Each seam class reduces to occurrences of the pattern in a window built
-from one of its own prefixes glued to one of its own suffixes, answered by
-`prefix_suffix` as a single progression. The prefix arm is the longest
-pattern prefix ending at the seam, found by a predecessor lookup on the
-reversed index; the suffix arm is found the same way forward, constrained
-to pattern suffixes preceded by the block when the match must cross it.
-The arms inside the block come from Knuth-Morris-Pratt scans of the block
-over the pattern's border tables, forward and reversed.
+and a right part R. Occurrences inside L and inside R are the pattern's
+starts walked on the reversed and forward suffix arrays; those inside M
+come from a Knuth-Morris-Pratt scan of the block. The three classes that
+touch a seam take two windows, each a pattern prefix glued to a pattern
+suffix and answered by `prefix_suffix` as one progression. Matches that
+start in L and reach past it lie in P[:a]·P[m-bm:], where a, the longest
+pattern prefix ending L, comes from a predecessor lookup on the reversed
+index, and bm, the longest pattern suffix starting M·R, from the forward
+one for deletes, else from the block's context group, falling back to a
+reversed KMP scan of the block. Matches that start in M and end in R lie
+in the window of the longest pattern prefix ending M and the longest
+pattern suffix starting R.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .pattern_trees import build_context_groups, build_tree_p, decompose_disjoin
 from .predecessor_sets import PredSet
 from .prefix_suffix import PrefSufIndex
 from .suffix_tree import SuffixTree, matching_statistics
-from .text_core import AlphabetError, Text, TextIndex
+from .text_core import Text, TextIndex, pattern_letters
 
 
 class EphemeralTextIndex:
@@ -40,7 +39,7 @@ class EphemeralTextIndex:
     def __init__(self, text: Text):
         self.text = text
         self.fwd = TextIndex(text)
-        rev = Text(text.letters[::-1], text.sigma)
+        rev = text.reversed()
         self.rev = TextIndex(rev)
         self.st_fwd = SuffixTree(text, sa=self.fwd.sa)
         self.st_rev = SuffixTree(rev, sa=self.rev.sa)
@@ -89,18 +88,9 @@ class PatternHandle:
     )
 
     def __init__(self, eti: EphemeralTextIndex, pattern, epsilon: int):
-        pat = [int(c) for c in pattern]
-        if not pat:
-            raise ValueError("pattern must be non-empty")
+        pat = pattern_letters(pattern, eti.sigma)
         if epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-        # Letters are range-checked so out-of-alphabet patterns fail loudly
-        # instead of colliding in flat child tables.
-        for c in pat:
-            if not 0 <= c < eti.sigma:
-                raise AlphabetError(
-                    f"pattern letter {c} outside the text alphabet [0, {eti.sigma})"
-                )
         self.eti = eti
         self.pattern = pat
         self.m = len(pat)
@@ -149,6 +139,12 @@ def _left_arm(ph: PatternHandle, ell: int) -> int:
     return 0 if cov is None else ph.m - cov.suffix_start
 
 
+def _right_arm(ph: PatternHandle, rp: int) -> int:
+    """Longest pattern suffix that is a prefix of the text from rp on."""
+    cov = ph.main_fwd.cover(ph.eti.fwd.isa[rp])
+    return 0 if cov is None else ph.m - cov.suffix_start
+
+
 def _kmp_scan(pat: list[int], borders: list[int], block) -> tuple[list[int], int]:
     """Occurrences of pat inside block, and the longest prefix of pat that
     is a suffix of block (pat itself included), in one scan with the
@@ -178,6 +174,11 @@ def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:
     block and ending in R, and "cross" for matches starting in L and
     ending in R. Positions refer to the edited text. The classes are
     pairwise disjoint by construction.
+
+    One prefix-suffix window around the end of L answers "left_block" and
+    "cross", split by where each match ends; a second window around the
+    start of R answers "block_right". Each arm is computed only when a
+    window reads it, so a delete costs one window and one lookup per arm.
     """
     eti = ph.eti
     n = eti.n
@@ -208,50 +209,37 @@ def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:
         shift = ell + blen - rp
         out["right"] = [x + shift for x in eti.fwd.report_starts(ph.interval, rp)]
 
-    a = _left_arm(ph, ell) if ell > 0 else 0
     psi = ph.psi
+    u = 0
+    if blen:
+        starts, u = _kmp_scan(pat, psi.f, block)
+        out["block"] = [ell + t for t in starts]
 
-    if isinstance(op, Delete):
-        if a > 0 and rp < n:
-            cov = ph.main_fwd.cover(eti.fwd.isa[rp])
-            if cov is not None:
-                b = m - cov.suffix_start
-                hits = out["cross"]
-                for t in psi.query(a, b):
-                    if t < a and t + m - 1 >= a:
-                        hits.append(ell - a + t)
-        return out
-
-    # Inserts and substitutes, where the block takes part in matches. u is
-    # the longest pattern prefix ending the block, v the longest pattern
-    # suffix starting it.
-    starts, u = _kmp_scan(pat, psi.f, block)
-    out["block"] = [ell + t for t in starts]
+    # Matches that start in L and reach past it lie in P[:a] + (M + R)[:bm].
+    # bm exceeds |M| exactly when a suffix in the block's context group
+    # prefixes R; otherwise it is the longest pattern suffix prefixing M.
+    a = _left_arm(ph, ell) if ell > 0 else 0
     if a > 0:
-        v = _kmp_scan(ph.rev_pattern, psi.g, block[::-1])[1]
-        if v > 0:
-            hits = out["left_block"]
-            for t in psi.query(a, v):
-                if t < a and t + m - 1 >= a:
-                    hits.append(ell - a + t)
-        if rp < n:
-            gid = ph.groups.get(block)
-            if gid is not None:
-                cov = ph.group_set.cover(gid * n + eti.fwd.isa[rp])
-                if cov is not None:
-                    b = blen + (m - cov.suffix_start)
-                    hits = out["cross"]
-                    for t in psi.query(a, b):
-                        if t < a and t + m - 1 >= a + blen:
-                            hits.append(ell - a + t)
-    if rp < n and u > 0:
-        cov = ph.main_fwd.cover(eti.fwd.isa[rp])
-        if cov is not None:
-            b = m - cov.suffix_start
-            hits = out["block_right"]
-            for t in psi.query(u, b):
-                if t < u and t + m - 1 >= u:
-                    hits.append(ell + blen - u + t)
+        if not blen:
+            bm = _right_arm(ph, rp) if rp < n else 0
+        else:
+            gid = ph.groups.get(block) if rp < n else None
+            cov = None if gid is None else ph.group_set.cover(gid * n + eti.fwd.isa[rp])
+            if cov is not None:
+                bm = blen + m - cov.suffix_start
+            else:
+                bm = _kmp_scan(ph.rev_pattern, psi.g, block[::-1])[1]
+        # A window shorter than the pattern holds no match.
+        if a + bm >= m:
+            end = a + blen
+            for t in psi.query(a, bm):
+                if a - m < t < a:
+                    (out["cross"] if t + m > end else out["left_block"]).append(ell - a + t)
+
+    if u > 0 and rp < n:
+        for t in psi.query(u, _right_arm(ph, rp)):
+            if u - m < t < u:
+                out["block_right"].append(ell + blen - u + t)
     return out
 
 

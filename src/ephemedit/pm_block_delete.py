@@ -18,7 +18,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 
 from .prefix_suffix import PrefSufIndex
-from .text_core import AlphabetError, Text
+from .text_core import Text, pattern_letters
 
 
 def _kmp_states(text: list[int], word: list[int], border: list[int]) -> array:
@@ -49,16 +49,9 @@ class BlockDeleteMatcher:
 
     def __init__(self, text, pattern):
         t = text if isinstance(text, Text) else Text(text)
-        pat = [int(c) for c in pattern]
         if len(t) == 0:
             raise ValueError("cannot index an empty text")
-        if not pat:
-            raise ValueError("pattern must be non-empty")
-        for c in pat:
-            if not 0 <= c < t.sigma:
-                raise AlphabetError(
-                    f"pattern letter {c} outside the text alphabet [0, {t.sigma})"
-                )
+        pat = pattern_letters(pattern, t.sigma)
         m = len(pat)
         self.text = t
         self.pattern = pat

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 from .text_core import (
     EMPTY_INTERVAL,
-    AlphabetError,
     SaInterval,
     Text,
     lcp_array,
+    pattern_letters,
     suffix_array,
 )
 
@@ -305,15 +305,8 @@ def build_marked_gst(text, pattern, keep_tree: bool = False) -> MarkedGst:
     so the table needs no clipping.
     """
     t = text if isinstance(text, Text) else Text(text)
-    pat = [int(c) for c in pattern]
+    pat = pattern_letters(pattern, t.sigma)
     m = len(pat)
-    if m == 0:
-        raise ValueError("pattern must be non-empty")
-    for c in pat:
-        if not 0 <= c < t.sigma:
-            raise AlphabetError(
-                f"pattern letter {c} outside the text alphabet [0, {t.sigma})"
-            )
     n = len(t.letters)
     joint = [c + 1 for c in t.letters]
     joint.append(0)

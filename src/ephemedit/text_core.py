@@ -52,6 +52,13 @@ class Text:
         self.letters = letters
         self.sigma = sigma
 
+    def reversed(self) -> Text:
+        """The same letters in reverse order, not checked a second time."""
+        out = object.__new__(Text)
+        out.letters = self.letters[::-1]
+        out.sigma = self.sigma
+        return out
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -68,6 +75,21 @@ class Text:
 
     def __repr__(self) -> str:
         return f"Text({self.letters!r}, sigma={self.sigma})"
+
+
+def pattern_letters(pattern, sigma: int) -> list[int]:
+    """The pattern as a list of ints, checked to be non-empty and to lie
+    in the text alphabet [0, sigma), so that an out-of-alphabet letter
+    fails loudly instead of colliding in a flat table."""
+    pat = [int(c) for c in pattern]
+    if not pat:
+        raise ValueError("pattern must be non-empty")
+    for c in pat:
+        if not 0 <= c < sigma:
+            raise AlphabetError(
+                f"pattern letter {c} outside the text alphabet [0, {sigma})"
+            )
+    return pat
 
 
 def _sais(s: list[int], sigma: int) -> list[int]:

@@ -53,6 +53,15 @@ def test_run_pm_edit(files, tmp_path, capsys):
     assert out.splitlines() == ["10", "0", "-"]
 
 
+def test_run_pm_edit_block_delete(files, tmp_path, capsys):
+    t, p, _ = files
+    s = tmp_path / "dels.txt"
+    s.write_bytes(b"D 2 5\nD 8 10\n")
+    code, out, err = run_cli(capsys, "run", t, p, s, "--mode", "pm-edit", "--verify")
+    assert code == 0, err
+    assert out.splitlines() == ["-", "5"]
+
+
 def test_byte_and_token_modes_agree(files, tmp_path, capsys):
     t, p, s = files
     tt = tmp_path / "text.tok"

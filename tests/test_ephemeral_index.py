@@ -12,6 +12,7 @@ from ephemedit.ephemeral_index import (
     preprocess_pattern,
     preprocess_text,
 )
+from ephemedit.prefix_suffix import PrefSufIndex
 from ephemedit.reference_oracle import occurrences_after_oracle
 from ephemedit.text_core import AlphabetError, ArgRmq, Text
 
@@ -151,6 +152,29 @@ def test_unedited_occurrences_cost_two_range_max_queries_each(monkeypatch, op):
     by = occurrence_classes(ph, op)
     monkeypatch.undo()
     assert calls <= 2 * (len(by["left"]) + len(by["right"])) + 2
+    assert sorted(sum(by.values(), [])) == occurrences_after_oracle(eti.text.letters, ph.pattern, op)
+
+
+@pytest.mark.parametrize(
+    "op", [Insert(0, (1, 0)), Insert(7, (1, 0, 1, 0)), Substitute(3, (0, 1, 0)), Delete(5, 8)]
+)
+def test_seam_windows_cost_two_prefix_suffix_queries(monkeypatch, op):
+    """One window answers every match that starts in L and reaches past
+    it, one more those that start in the block and end in R."""
+    eti = preprocess_text(Text([0, 1] * 20, 2))
+    ph = preprocess_pattern(eti, [0, 1, 0, 1, 0, 1], epsilon=4)
+    calls = 0
+    query = PrefSufIndex.query
+
+    def counted(self, a, b):
+        nonlocal calls
+        calls += 1
+        return query(self, a, b)
+
+    monkeypatch.setattr(PrefSufIndex, "query", counted)
+    by = occurrence_classes(ph, op)
+    monkeypatch.undo()
+    assert calls <= 2
     assert sorted(sum(by.values(), [])) == occurrences_after_oracle(eti.text.letters, ph.pattern, op)
 
 

@@ -88,6 +88,44 @@ def test_edits_on_adversarial_texts(family):
     assert crossed > 0
 
 
+def _class_of(start: int, end: int, ell: int, blen: int) -> str:
+    """The class of a match over [start, end] of the edited text, with L
+    ending before ell and the block covering [ell, ell + blen)."""
+    r = ell + blen
+    if start < ell:
+        return "left" if end < ell else "left_block" if end < r else "cross"
+    if start < r:
+        return "block" if end < r else "block_right"
+    return "right"
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_classes_follow_match_ends(family):
+    """Every reported start sits in the class that its first and last
+    letters imply, including matches ending on the block's last letter."""
+    rng = random.Random(f"index-classes/{family}")
+    text, sigma, epsilon = FAMILIES[family](rng)
+    eti = preprocess_text(Text(text, sigma))
+    seam_ends = 0
+    for pattern in patterns_for(rng, text, sigma):
+        m = len(pattern)
+        ph = preprocess_pattern(eti, pattern, epsilon)
+        for op in ops_for(rng, text, pattern, epsilon, sigma):
+            if isinstance(op, Delete):
+                ell, blen = op.first, 0
+            else:
+                ell = op.after + 1 if isinstance(op, Insert) else op.at
+                blen = len(op.block)
+            by = occurrence_classes(ph, op)
+            for key, starts in by.items():
+                for s in starts:
+                    assert _class_of(s, s + m - 1, ell, blen) == key, (pattern, op, key, s)
+                    seam_ends += s < ell and s + m == ell + blen
+            got = sorted(p for part in by.values() for p in part)
+            assert got == occurrences_after_oracle(text, pattern, op), (pattern, op)
+    assert seam_ends > 0
+
+
 def test_packed_groups_match_one_set_per_group():
     rng = random.Random(23)
     for _ in range(150):

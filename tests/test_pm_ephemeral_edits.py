@@ -8,7 +8,7 @@ from ephemedit.edits import Delete, Insert, Substitute
 from ephemedit.pm_block_delete import BlockDeleteMatcher
 from ephemedit.pm_ephemeral_edits import EditMatcher, build_sma
 from ephemedit.reference_oracle import occurrences_after_oracle
-from ephemedit.text_core import Text
+from ephemedit.text_core import AlphabetError, Text
 
 TEXT = list(b"bababbbababb")
 PAT = list(b"ababab")
@@ -130,3 +130,11 @@ def test_matcher_type():
     em = EditMatcher(Text([0, 1], 2), [0])
     assert isinstance(em, EditMatcher)
     assert isinstance(em, BlockDeleteMatcher)
+
+
+@pytest.mark.parametrize("engine", [BlockDeleteMatcher, EditMatcher])
+def test_pattern_letters_must_fit_alphabet(engine):
+    with pytest.raises(AlphabetError):
+        engine(Text([0, 1, 0, 1], 2), [0, 2])
+    with pytest.raises(AlphabetError):
+        engine(Text([0, 1, 0, 1], 2), [-1])
