@@ -1,4 +1,4 @@
-"""Command line front end.
+r"""Command line front end.
 
 `ephemedit run` executes an edit script against a text and pattern under
 one of the three engines and prints one line of sorted occurrence
@@ -10,10 +10,11 @@ Input files hold raw bytes by default (alphabet size 256). With --tokens
 they hold decimal integers separated by ASCII spaces, tabs, CRs and LFs
 instead. Script lines are `I <p> <S>` (insert S after position p, -1
 prepends), `D <q> <p>` (delete the closed range), and `X <p> <S>`
-(overwrite starting at p). S is a literal byte string in byte mode,
-holding any byte but space, tab and newline, and comma-separated integers
-in token mode. Byte files are taken verbatim, so write them without a
-trailing newline.
+(overwrite starting at p). In byte mode S is a byte string: `\xHH` is
+the byte with hex value HH and `\\` a backslash, which lets a block hold
+a space, tab or newline; every other byte but a backslash stands for
+itself. In token mode S is comma-separated integers. Byte files are
+taken verbatim, so write them without a trailing newline.
 """
 
 from __future__ import annotations
@@ -64,9 +65,22 @@ def _read_letters(path: str, tokens: bool) -> list[int]:
     return out
 
 
+# One letter of a byte-mode block: \xHH, an escaped backslash, or any
+# other byte but a backslash.
+_BYTE_LETTER = re.compile(rb"\\x([0-9A-Fa-f]{2})|\\\\|[^\\]")
+
+
 def _parse_block(tok: bytes, tokens: bool, line_no: int) -> tuple[int, ...]:
     if not tokens:
-        return tuple(tok)
+        letters = []
+        pos = 0
+        while pos < len(tok):
+            match = _BYTE_LETTER.match(tok, pos)
+            if match is None:
+                raise ScriptError(line_no, f"bad escape in block {tok.decode('latin-1')!r}")
+            pos = match.end()
+            letters.append(int(match[1], 16) if match[1] else tok[pos - 1])
+        return tuple(letters)
     try:
         block = tuple(int(x) for x in tok.split(b","))
     except ValueError:

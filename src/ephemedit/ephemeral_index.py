@@ -24,7 +24,7 @@ pattern suffix starting R.
 from __future__ import annotations
 
 from .edits import Delete, EditOp, Insert, Substitute, validate_edit
-from .pattern_trees import build_context_groups, build_tree_p, decompose_disjoint
+from .pattern_trees import build_tree_p, context_group_rows, decompose_disjoint
 from .predecessor_sets import PredSet
 from .prefix_suffix import PrefSufIndex
 from .suffix_tree import SuffixTree, matching_statistics
@@ -101,16 +101,8 @@ class PatternHandle:
         ms_fwd = matching_statistics(eti.st_fwd, pat)
         self.tree_fwd = build_tree_p(pat, ms_fwd)
         self.main_fwd = PredSet(decompose_disjoint(self.tree_fwd), n)
-        contexts = build_context_groups(pat, ms_fwd, epsilon)
-        self.groups = {key: gid for gid, key in enumerate(contexts)}
-        self.group_set = PredSet(
-            (
-                (base + lo, base + hi, i)
-                for base, entries in zip(range(0, len(contexts) * n, n), contexts.values())
-                for lo, hi, i in entries
-            ),
-            max(1, len(contexts)) * n,
-        )
+        self.groups, *rows = context_group_rows(pat, ms_fwd.suf_interval, epsilon, n)
+        self.group_set = PredSet(zip(*rows), max(1, len(self.groups)) * n)
         rev_pat = pat[::-1]
         self.rev_pattern = rev_pat
         ms_rev = matching_statistics(eti.st_rev, rev_pat)

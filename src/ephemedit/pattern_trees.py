@@ -8,17 +8,23 @@ text carries the suffix-array interval of its occurrences as its
 decoration.
 
 Decorated intervals form a laminar family: two of them either nest or are
-disjoint. `_flatten_longest` cuts such a family into disjoint pieces with
-one stack pass, the innermost interval winning, so that the piece covering
-a rank names the longest member suffix that is a prefix of that rank's
-text suffix. `decompose_disjoint` flattens every decorated suffix after
-checking the decorations against the tree. `build_context_groups`
-flattens per context: only suffixes immediately preceded in the pattern by
-a given short word take part, which is what queries about an inserted
-block need.
+disjoint. `_flatten_longest` cuts such a family, given as sorted integer
+columns, into disjoint pieces with one stack pass, the innermost interval
+winning, so that the piece covering a rank names the longest member
+suffix that is a prefix of that rank's text suffix. `decompose_disjoint`
+flattens every decorated suffix after checking the decorations against
+the tree. Context groups flatten per context: only suffixes immediately
+preceded in the pattern by a given short word take part, which is what
+queries about an inserted block need. `build_context_groups` returns them
+as one entry list per word. `context_group_rows`, which the index uses,
+shifts group gid's ranks by gid * n so that all groups form one laminar
+family, and gets every group's pieces from one numpy sort and one pass,
+as three integer columns.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .predecessor_sets import IntervalEntry
 from .prefix_suffix import border_array
@@ -98,38 +104,61 @@ def decompose_disjoint(tree: SuffixPrefixTree) -> list[IntervalEntry]:
             if not piv.lo <= iv.lo <= iv.hi <= piv.hi:
                 raise ValueError(f"decoration of suffix {p} does not nest")
         members.append((iv.lo, iv.hi, i))
-    return _flatten_longest(members)
+    return _flatten_members(members)
 
 
-def _flatten_longest(members: list[tuple[int, int, int]]) -> list[IntervalEntry]:
-    """Flatten nested (lo, hi, suffix start) triples, innermost wins.
-
-    Members must form a laminar family, which suffix-occurrence intervals
-    always do. Sorting puts outer intervals first and, among identical
-    intervals, the longer suffix last so it ends up on top of the stack.
-    """
-    if len(members) == 1:
-        return [IntervalEntry(*members[0])]
+def _flatten_members(members: list[tuple[int, int, int]]) -> list[IntervalEntry]:
+    """Sort one laminar family of (lo, hi, suffix start) triples and
+    flatten it into entries."""
+    if not members:
+        return []
+    # Outer intervals first and, among identical intervals, the longer
+    # suffix last so it ends up on top of the stack.
     members.sort(key=lambda t: (t[0], -t[1], -t[2]))
-    out: list[IntervalEntry] = []
-    stack: list[tuple[int, int, int]] = []
+    starts, ends, suffix_starts = _flatten_longest(*zip(*members))
+    return [IntervalEntry(*t) for t in zip(starts, ends, suffix_starts)]
+
+
+def _flatten_longest(los, his, sfx) -> tuple[list[int], list[int], list[int]]:
+    """Flatten nested intervals given as sorted columns, innermost wins.
+
+    Row k is the interval [los[k], his[k]] of suffix sfx[k]. Rows must form
+    a laminar family, which suffix-occurrence intervals always do, sorted
+    by start, then by decreasing end, then by decreasing suffix start. The
+    pieces come back as (starts, ends, suffix starts) columns, in order.
+    """
+    starts: list[int] = []
+    ends: list[int] = []
+    out_sfx: list[int] = []
+    add_start, add_end, add_suffix = starts.append, ends.append, out_sfx.append
+    stack_hi: list[int] = []
+    stack_i: list[int] = []
     cursor = 0
-    for lo, hi, i in members:
-        while stack and stack[-1][1] < lo:
-            _, shi, si = stack.pop()
+    for lo, hi, i in zip(los, his, sfx):
+        while stack_hi and stack_hi[-1] < lo:
+            shi = stack_hi.pop()
+            si = stack_i.pop()
             if cursor <= shi:
-                out.append(IntervalEntry(cursor, shi, si))
+                add_start(cursor)
+                add_end(shi)
+                add_suffix(si)
                 cursor = shi + 1
-        if stack and cursor < lo:
-            out.append(IntervalEntry(cursor, lo - 1, stack[-1][2]))
+        if stack_hi and cursor < lo:
+            add_start(cursor)
+            add_end(lo - 1)
+            add_suffix(stack_i[-1])
         cursor = lo
-        stack.append((lo, hi, i))
-    while stack:
-        _, shi, si = stack.pop()
+        stack_hi.append(hi)
+        stack_i.append(i)
+    while stack_hi:
+        shi = stack_hi.pop()
+        si = stack_i.pop()
         if cursor <= shi:
-            out.append(IntervalEntry(cursor, shi, si))
+            add_start(cursor)
+            add_end(shi)
+            add_suffix(si)
             cursor = shi + 1
-    return out
+    return starts, ends, out_sfx
 
 
 def build_context_groups(
@@ -141,7 +170,8 @@ def build_context_groups(
     before position i spell W. Within a group the flattened pieces again
     let the covering piece name the longest member suffix that prefixes a
     rank's text suffix. Only occurring suffixes take part, and only
-    nonempty ones, so groups never decorate every rank.
+    nonempty ones, so groups never decorate every rank. This is the
+    reference for `context_group_rows`, which packs the same pieces.
     """
     pat = [int(c) for c in pattern]
     m = len(pat)
@@ -155,4 +185,43 @@ def build_context_groups(
                 continue
             key = tuple(pat[i - length : i])
             raw.setdefault(key, []).append((iv.lo, iv.hi, i))
-    return {key: _flatten_longest(members) for key, members in raw.items()}
+    return {key: _flatten_members(members) for key, members in raw.items()}
+
+
+def context_group_rows(
+    pattern: list[int], suf_interval: list[SaInterval], max_len: int, n: int
+) -> tuple[dict[tuple[int, ...], int], list[int], list[int], list[int]]:
+    """Every context group's pieces, packed into one sorted family.
+
+    Returns (groups, starts, ends, suffix starts). `groups` maps each
+    context word to its group id gid, numbered as `build_context_groups`
+    orders its words, and group gid's pieces are the rows whose ranks r
+    sit at gid * n + r. Ranks are below n, so members of different groups
+    never overlap: the shifted members of all groups still form one
+    laminar family, and a single sort and flatten pass gives every
+    group's pieces at once.
+    """
+    m = len(pattern)
+    if len(suf_interval) != m:
+        raise ValueError("suffix intervals do not match the pattern length")
+    occurring = [i for i in range(m) if not suf_interval[i].is_empty]
+    word = tuple(pattern)
+    groups: dict[tuple[int, ...], int] = {}
+    gids: list[int] = []
+    members: list[int] = []
+    for length in range(1, max_len + 1):
+        for i in occurring:
+            if i >= length:
+                gids.append(groups.setdefault(word[i - length : i], len(groups)))
+                members.append(i)
+    lo = np.fromiter((iv.lo for iv in suf_interval), np.int64, m)
+    hi = np.fromiter((iv.hi for iv in suf_interval), np.int64, m)
+    sfx = np.array(members, dtype=np.int64)
+    base = np.array(gids, dtype=np.int64) * n
+    start = base + lo[sfx]
+    end = base + hi[sfx]
+    order = np.lexsort((-sfx, -end, start))
+    starts, ends, suffix_starts = _flatten_longest(
+        start[order].tolist(), end[order].tolist(), sfx[order].tolist()
+    )
+    return groups, starts, ends, suffix_starts

@@ -3,7 +3,7 @@
 import pytest
 
 from ephemedit.cli import _parse_script, main
-from ephemedit.edits import Insert
+from ephemedit.edits import Insert, Substitute
 
 TEXT = b"ananabannabanaana"
 PATTERN = b"banana"
@@ -105,6 +105,32 @@ def test_byte_block_keeps_non_ascii_space(tmp_path, capsys):
     assert _parse_script(str(s), tokens=False) == [(1, Insert(1, (0xA0, 0x61)))]
     code, out, err = run_cli(capsys, "run", t, p, s, "--mode", "index", "--verify")
     assert (code, out, err) == (0, "0 1 3 4 5\n", "")
+
+
+def test_byte_block_escapes_hold_space_and_backslash(tmp_path, capsys):
+    t = tmp_path / "t.bin"
+    p = tmp_path / "p.bin"
+    s = tmp_path / "s.txt"
+    t.write_bytes(b"xaby")
+    p.write_bytes(b"a b")
+    s.write_bytes(b"I 1 a\\x20b\nX 0 \\\\\\x09\\x0A\n")
+    assert _parse_script(str(s), tokens=False) == [
+        (1, Insert(1, (0x61, 0x20, 0x62))),
+        (2, Substitute(0, (0x5C, 0x09, 0x0A))),
+    ]
+    s.write_bytes(b"I 1 a\\x20b\n")
+    code, out, err = run_cli(capsys, "run", t, p, s, "--mode", "index", "--verify")
+    assert (code, out, err) == (0, "2\n", "")
+
+
+@pytest.mark.parametrize("block", [b"a\\b", b"\\x2", b"\\xg0", b"\\x1z", b"a\\"])
+def test_byte_block_rejects_bad_escapes(files, tmp_path, capsys, block):
+    t, p, _ = files
+    s = tmp_path / "esc.txt"
+    s.write_bytes(b"I 0 a\nI 0 " + block + b"\n")
+    code, out, err = run_cli(capsys, "run", t, p, s)
+    assert (code, out) == (2, "")
+    assert "esc.txt:2:" in err and "bad escape" in err
 
 
 def test_next_line_byte_does_not_shift_line_numbers(files, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The general engine on adversarial text families at n in [300, 2000]
 against the reference oracle, and the packed context-group set against one
-predecessor set per group."""
+predecessor set per group and against a brute-force scan of the text."""
 
 import random
 
@@ -155,3 +155,46 @@ def test_packed_groups_match_one_set_per_group():
                     assert cov is None, (text, pattern, word, r)
                 else:
                     assert (cov.start - base, cov.end - base, cov.suffix_start) == want, (text, pattern, word, r)
+
+
+@pytest.mark.parametrize("family", ["fibonacci", "periodic-noise", "square", "unary"])
+def test_group_set_names_longest_member_suffix(family):
+    """Checks the packed group set from first principles: for every word W
+    it knows and every rank r, the piece covering gid(W) * n + r names the
+    longest pattern suffix preceded in the pattern by W that prefixes the
+    text suffix of rank r, and there is no piece when no such suffix does."""
+    rng = random.Random(f"group-set/{family}")
+    text = {
+        "fibonacci": lambda: fibonacci_word(377),
+        "periodic-noise": lambda: periodic_with_noise(rng, 350),
+        "square": lambda: square(rng, 400),
+        "unary": lambda: [0] * 300,
+    }[family]()
+    n, sigma = len(text), max(text) + 1
+    sa = sorted(range(n), key=lambda j: text[j:])
+    eti = preprocess_text(Text(text, sigma))
+    for m in (1, 4, 13, 40):
+        j = rng.randrange(n - m + 1)
+        pattern = text[j : j + m]
+        # prefixes[r][i]: pattern[i:] is a prefix of the text suffix of rank r.
+        prefixes = [
+            [text[sa[r] : sa[r] + m - i] == pattern[i:] for i in range(m)] for r in range(n)
+        ]
+        for epsilon in (1, 4, 8):
+            ph = preprocess_pattern(eti, pattern, epsilon)
+            words = {
+                tuple(pattern[i - k : i])
+                for k in range(1, epsilon + 1)
+                for i in range(k, m)
+                if any(row[i] for row in prefixes)
+            }
+            assert set(ph.groups) == words, (family, m, epsilon)
+            assert sorted(ph.groups.values()) == list(range(len(words)))
+            for word, gid in ph.groups.items():
+                k = len(word)
+                members = [i for i in range(k, m) if tuple(pattern[i - k : i]) == word]
+                for r in range(n):
+                    want = next((i for i in members if prefixes[r][i]), None)
+                    cov = ph.group_set.cover(gid * n + r)
+                    got = None if cov is None else cov.suffix_start
+                    assert got == want, (family, m, epsilon, word, r)
