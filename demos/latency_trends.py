@@ -1,7 +1,7 @@
 # Why bother with all the machinery? Per-edit latency stays flat as the
 # text grows, while re-scanning after each edit grows linearly. This demo
 # keeps sizes small so it finishes in seconds; the same trend at n = 2^20
-# is produced by `ephemedit bench` or the opt-in acceptance criterion.
+# is checked by the opt-in acceptance criterion 9 (see the README).
 #
 # Run with: python3 demos/latency_trends.py
 

@@ -2,9 +2,10 @@ r"""Command line front end.
 
 `ephemedit run` executes an edit script against a text and pattern under
 one of the three engines and prints one line of sorted occurrence
-positions per operation. `ephemedit bench` builds synthetic inputs and
-reports preprocessing times, per-operation latency percentiles, and a
-naive rescan baseline.
+positions per operation. `ephemedit bench ARGS...` runs the benchmark,
+`perfbench/run.py ARGS...`, in a separate process with this interpreter and
+returns its exit code; it needs a checkout of the repository (exit 2
+without one) and takes no options of its own.
 
 Input files hold raw bytes by default (alphabet size 256). With --tokens
 they hold decimal integers separated by ASCII spaces, tabs, CRs and LFs
@@ -20,11 +21,9 @@ taken verbatim, so write them without a trailing newline.
 from __future__ import annotations
 
 import argparse
-import random
 import re
-import statistics
+import subprocess
 import sys
-import time
 from pathlib import Path
 
 from .edits import Delete, EditOp, Insert, Substitute, validate_edit
@@ -35,6 +34,9 @@ from .reference_oracle import occurrences_after_oracle
 from .text_core import Text
 
 MODES = ("index", "pm-del", "pm-edit")
+# The benchmark script of the checkout this package was loaded from; absent
+# when the package is installed without its repository.
+PERFBENCH = Path(__file__).resolve().parents[2] / "perfbench" / "run.py"
 
 
 class ScriptError(Exception):
@@ -202,99 +204,12 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _percentiles(samples: list[float]) -> str:
-    qs = statistics.quantiles(samples, n=100, method="inclusive")
-    return (
-        f"p50={qs[49] * 1e6:.1f}us p90={qs[89] * 1e6:.1f}us "
-        f"p99={qs[98] * 1e6:.1f}us max={max(samples) * 1e6:.1f}us"
-    )
-
-
-def _random_ops(rng: random.Random, mode: str, n: int, sigma: int, epsilon: int, count: int):
-    ops = []
-    for _ in range(count):
-        if mode == "pm-del":
-            q = rng.randrange(n)
-            ops.append(Delete(q, min(n - 1, q + rng.randint(0, n // 4))))
-            continue
-        kind = rng.randrange(3)
-        blen = 1 if mode == "pm-edit" else rng.randint(1, epsilon)
-        if kind == 0:
-            ops.append(Insert(rng.randint(-1, n - 1), tuple(rng.randrange(sigma) for _ in range(blen))))
-        elif kind == 1:
-            q = rng.randrange(n)
-            ops.append(Delete(q, min(n - 1, q + rng.randint(0, 16))))
-        else:
-            at = rng.randint(0, n - blen)
-            ops.append(Substitute(at, tuple(rng.randrange(sigma) for _ in range(blen))))
-    return ops
-
-
-def _cmd_bench(args) -> int:
-    rng = random.Random(args.seed)
-    n, m, sigma = args.n, args.m, args.sigma
-    if n < 1 or m < 1 or sigma < 1:
-        print("n, m, and sigma must be positive", file=sys.stderr)
+def _cmd_bench(argv: list[str]) -> int:
+    if not PERFBENCH.is_file():
+        print(f"no benchmark at {PERFBENCH}; ephemedit bench runs from a checkout "
+              "of the repository", file=sys.stderr)
         return 2
-    if m > n:
-        print("bench samples the pattern from the text; need m <= n", file=sys.stderr)
-        return 2
-    if args.ops < 0 or args.ops == 1:
-        print("--ops must be 0 (preprocessing only) or at least 2", file=sys.stderr)
-        return 2
-    if args.baseline_samples < 1:
-        print("--baseline-samples must be at least 1", file=sys.stderr)
-        return 2
-    if args.mode == "index" and args.epsilon < 1:
-        print("index mode needs --epsilon of at least 1", file=sys.stderr)
-        return 2
-    text = [rng.randrange(sigma) for _ in range(n)]
-    j = rng.randint(0, n - m)
-    pattern = text[j : j + m]
-    print(
-        f"bench mode={args.mode} n={n} m={m} sigma={sigma} "
-        f"epsilon={args.epsilon} ops={args.ops} seed={args.seed}"
-    )
-
-    tx = Text(text, sigma)
-    t0 = time.perf_counter()
-    if args.mode == "index":
-        eti = preprocess_text(tx)
-        t1 = time.perf_counter()
-        ph = preprocess_pattern(eti, pattern, args.epsilon)
-        print(f"preprocess text: {t1 - t0:.3f} s")
-        print(f"preprocess pattern: {time.perf_counter() - t1:.3f} s")
-        answer = lambda op: occurrences_after(ph, op)
-    elif args.mode == "pm-del":
-        bd = BlockDeleteMatcher(tx, pattern)
-        print(f"preprocess text+pattern: {time.perf_counter() - t0:.3f} s")
-        answer = lambda op: bd.occurrences_after_delete(op.first, op.last)
-    else:
-        em = EditMatcher(tx, pattern)
-        print(f"preprocess text+pattern: {time.perf_counter() - t0:.3f} s")
-        answer = em.occurrences_after_edit
-    if args.ops == 0:
-        return 0
-
-    ops = _random_ops(rng, args.mode, n, sigma, args.epsilon, args.ops)
-    latencies = []
-    for op in ops:
-        s = time.perf_counter()
-        answer(op)
-        latencies.append(time.perf_counter() - s)
-    print(f"per-op latency: {_percentiles(latencies)}")
-
-    baseline_ops = ops[: min(len(ops), args.baseline_samples)]
-    base = []
-    for op in baseline_ops:
-        s = time.perf_counter()
-        occurrences_after_oracle(text, pattern, op)
-        base.append(time.perf_counter() - s)
-    med = statistics.median(base)
-    print(
-        f"naive rescan baseline ({len(base)} sampled ops): median={med * 1e3:.2f}ms"
-    )
-    return 0
+    return subprocess.run([sys.executable, str(PERFBENCH), *argv], check=False).returncode
 
 
 def main(argv=None) -> int:
@@ -315,21 +230,18 @@ def main(argv=None) -> int:
                        help="largest block length prepared for (index mode)")
     run_p.add_argument("--verify", action="store_true",
                        help="cross-check every line against the oracle")
-    run_p.set_defaults(func=_cmd_run)
 
-    bench_p = sub.add_parser("bench", help="time synthetic workloads")
-    bench_p.add_argument("-n", type=int, default=1 << 16, help="text length")
-    bench_p.add_argument("-m", type=int, default=64, help="pattern length")
-    bench_p.add_argument("--sigma", type=int, default=256)
-    bench_p.add_argument("--ops", type=int, default=1000)
-    bench_p.add_argument("--seed", type=int, default=0)
-    bench_p.add_argument("--mode", choices=MODES, default="index")
-    bench_p.add_argument("--epsilon", type=int, default=4)
-    bench_p.add_argument("--baseline-samples", type=int, default=50)
-    bench_p.set_defaults(func=_cmd_bench)
+    # No options of its own: every argument, --help included, goes to
+    # perfbench/run.py.
+    sub.add_parser("bench", add_help=False,
+                   help="run the benchmark workloads (perfbench/run.py)")
 
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "bench":
+        return _cmd_bench(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    return _cmd_run(args)
 
 
 if __name__ == "__main__":

@@ -16,12 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _as_block(letters) -> tuple[int, ...]:
     block = tuple(letters)
     for a in block:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 0:
+        if not _is_int(a) or a < 0:
             raise ValueError(f"block letters must be non-negative ints, got {a!r}")
     return block
+
+
+def _check_positions(op, *names: str) -> None:
+    """Positions must be ints, not bools or floats, so that a malformed edit
+    fails when it is made instead of being read as another edit or failing
+    inside a query."""
+    for name in names:
+        value = getattr(op, name)
+        if not _is_int(value):
+            raise ValueError(f"{type(op).__name__}.{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -30,6 +44,7 @@ class Insert:
     block: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
+        _check_positions(self, "after")
         object.__setattr__(self, "block", _as_block(self.block))
 
 
@@ -38,6 +53,9 @@ class Delete:
     first: int
     last: int
 
+    def __post_init__(self):
+        _check_positions(self, "first", "last")
+
 
 @dataclass(frozen=True)
 class Substitute:
@@ -45,6 +63,7 @@ class Substitute:
     block: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
+        _check_positions(self, "at")
         object.__setattr__(self, "block", _as_block(self.block))
 
 

@@ -80,14 +80,18 @@ class Text:
 def pattern_letters(pattern, sigma: int) -> list[int]:
     """The pattern as a list of ints, checked to be non-empty and to lie
     in the text alphabet [0, sigma), so that an out-of-alphabet letter
-    fails loudly instead of colliding in a flat table."""
-    pat = [int(c) for c in pattern]
+    fails loudly instead of colliding in a flat table. Letters follow
+    `Text`'s rule: an int that is not a bool; floats, bools and strings
+    are rejected, not converted."""
+    pat = list(pattern)
     if not pat:
         raise ValueError("pattern must be non-empty")
-    for c in pat:
+    for i, c in enumerate(pat):
+        if not isinstance(c, int) or isinstance(c, bool):
+            raise AlphabetError(f"pattern letter at position {i} is not an int: {c!r}")
         if not 0 <= c < sigma:
             raise AlphabetError(
-                f"pattern letter {c} outside the text alphabet [0, {sigma})"
+                f"pattern letter {c} at position {i} outside the text alphabet [0, {sigma})"
             )
     return pat
 

@@ -1,7 +1,12 @@
 """End-to-end command line behaviour."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from ephemedit import cli
 from ephemedit.cli import _parse_script, main
 from ephemedit.edits import Insert, Substitute
 
@@ -208,38 +213,26 @@ def test_missing_file(tmp_path, capsys):
     assert code == 2 and err
 
 
-def test_bench_preprocessing_only(capsys):
-    code, out, _ = run_cli(capsys, "bench", "-n", "500", "-m", "8", "--ops", "0")
-    assert code == 0
-    assert "preprocess" in out
-    assert "latency" not in out
+def test_bench_runs_perfbench_with_arguments_unchanged(monkeypatch):
+    calls = []
+
+    def fake_run(cmd, check):
+        calls.append(cmd)
+        return subprocess.CompletedProcess(cmd, 3)
+
+    monkeypatch.setattr(cli.subprocess, "run", fake_run)
+    argv = ["--workload", "pm-periodic", "--seed", "1", "--seconds", "1", "--trace", "0"]
+    assert main(["bench", *argv]) == 3
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    assert script.is_file()
+    assert calls == [[sys.executable, str(script), *argv]]
 
 
-def test_bench_reports_latency(capsys):
-    for mode in ("index", "pm-del", "pm-edit"):
-        code, out, _ = run_cli(
-            capsys, "bench", "-n", "400", "-m", "6", "--ops", "40",
-            "--baseline-samples", "5", "--mode", mode, "--seed", "2",
-        )
-        assert code == 0
-        assert "per-op latency" in out
-        assert "baseline" in out
-
-
-@pytest.mark.parametrize(
-    "bad",
-    [
-        ("--ops", "1"),
-        ("--ops", "-3"),
-        ("--baseline-samples", "0"),
-        ("--epsilon", "0"),
-        ("--epsilon", "-2"),
-    ],
-)
-def test_bench_rejects_bad_counts(capsys, bad):
-    code, _, err = run_cli(capsys, "bench", "-n", "200", "-m", "4", *bad)
-    assert code == 2
-    assert bad[0] in err
+def test_bench_without_checkout(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "PERFBENCH", tmp_path / "perfbench" / "run.py")
+    code, out, err = run_cli(capsys, "bench", "--seconds", "1")
+    assert (code, out) == (2, "")
+    assert "checkout" in err
 
 
 def test_token_letters_beyond_int64(tmp_path, capsys):

@@ -57,3 +57,23 @@ def test_validate_checks_block_alphabet():
         validate_edit(Insert(0, (4,)), 5, sigma=4)
     with pytest.raises(ValueError):
         validate_edit(Substitute(0, (-1,)), 5, sigma=4)
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [
+        (Delete, (True, True)),
+        (Delete, (2.5, 3)),
+        (Delete, (2, 3.0)),
+        (Insert, (False, (1,))),
+        (Insert, ("0", (1,))),
+        (Substitute, (1.0, (1,))),
+        (Substitute, (None, (1,))),
+    ],
+    ids=["delete-bools", "delete-float-first", "delete-float-last", "insert-bool",
+         "insert-str", "substitute-float", "substitute-none"],
+)
+def test_positions_must_be_ints(cls, args):
+    # Bools would be read as 0 and 1, floats fail later inside a query.
+    with pytest.raises(ValueError, match="must be an int"):
+        cls(*args)

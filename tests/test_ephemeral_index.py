@@ -92,6 +92,10 @@ def test_pattern_letters_must_fit_alphabet():
     eti = preprocess_text(Text([0, 1, 0, 1], 2))
     with pytest.raises(AlphabetError):
         preprocess_pattern(eti, [0, 5], epsilon=4)
+    # Letters that int() would turn into [0, 1, 0] are rejected, not read.
+    for bad in ([0, 1.7, 0], [False, True, False], ["0", "1", "0"]):
+        with pytest.raises(AlphabetError, match="position"):
+            preprocess_pattern(eti, bad, epsilon=4)
 
 
 def test_bad_positions_rejected(example_handle):

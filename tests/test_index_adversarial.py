@@ -14,7 +14,7 @@ from ephemedit.reference_oracle import naive_search, occurrences_after_oracle
 from ephemedit.suffix_tree import matching_statistics
 from ephemedit.text_core import Text
 
-from families import fibonacci_word, periodic_with_noise, square
+from families import fibonacci_word, huge_alphabet, periodic_with_noise, square
 
 
 # name -> (text, sigma, epsilon), built from a fixed seed per family.
@@ -24,6 +24,7 @@ FAMILIES = {
     "fibonacci": lambda rng: (fibonacci_word(987), 2, 16),
     "square": lambda rng: (square(rng, 1200), 3, 8),
     "large-sigma": lambda rng: ([rng.randrange(5000) for _ in range(300)], 5000, 16),
+    "huge-sigma": lambda rng: (*huge_alphabet(rng, 2000), 8),
 }
 
 

@@ -11,7 +11,7 @@ from ephemedit.pm_ephemeral_edits import EditMatcher
 from ephemedit.reference_oracle import naive_search, occurrences_after_oracle
 from ephemedit.text_core import Text
 
-from families import fibonacci_word, periodic_with_noise, square
+from families import fibonacci_word, huge_alphabet, periodic_with_noise, square
 
 
 # name -> (text, sigma), built from a fixed seed per family.
@@ -22,6 +22,7 @@ FAMILIES = {
     "square": lambda rng: (square(rng, 1200), 3),
     "binary-random": lambda rng: ([rng.randrange(2) for _ in range(1500)], 2),
     "large-sigma": lambda rng: ([rng.randrange(5000) for _ in range(300)], 5000),
+    "huge-sigma": lambda rng: huge_alphabet(rng, 2000),
 }
 
 

@@ -138,3 +138,7 @@ def test_pattern_letters_must_fit_alphabet(engine):
         engine(Text([0, 1, 0, 1], 2), [0, 2])
     with pytest.raises(AlphabetError):
         engine(Text([0, 1, 0, 1], 2), [-1])
+    # Letters that int() would turn into [0, 1, 0] are rejected, not read.
+    for bad in ([0, 1.7, 0], [False, True, False], ["0", "1", "0"]):
+        with pytest.raises(AlphabetError, match="position"):
+            engine(Text([0, 1, 0, 1], 2), bad)
