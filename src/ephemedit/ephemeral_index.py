@@ -89,6 +89,8 @@ class PatternHandle:
 
     def __init__(self, eti: EphemeralTextIndex, pattern, epsilon: int):
         pat = pattern_letters(pattern, eti.sigma)
+        if not isinstance(epsilon, int) or isinstance(epsilon, bool):
+            raise ValueError(f"epsilon must be an int, got {epsilon!r}")
         if epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         self.eti = eti

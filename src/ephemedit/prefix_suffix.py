@@ -4,8 +4,8 @@
 ``(a, b)`` asks: writing W as the length-``a`` prefix of P followed by the
 length-``b`` suffix of P, at which offsets does P occur in W? The answer is
 always a single arithmetic progression, assembled from the border chains of
-the two arms plus the smallest period of P. Queries walk at most two border
-chains, which is constant work for typical patterns.
+the two arms plus the smallest period of P. A query walks the border chains
+of both arms one border at a time, so it costs Θ(m) in the worst case.
 
 This is the junction primitive behind every crossing-occurrence query: an
 edit splits the text into arms that behave exactly like such a prefix and

@@ -1,4 +1,5 @@
-"""Core text indexing: suffix array, its inverse, a range-max table over
+"""Core text indexing: a suffix array by the DC3 (skew) algorithm in numpy,
+O(n log n) time with numpy's sorts, its inverse, a range-max table over
 suffix start positions, and one-sided occurrence reporting over suffix
 array intervals. The LCP array is computed here too, for suffix trees.
 
@@ -9,6 +10,7 @@ tokenized inputs with large vocabularies.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,8 @@ class AlphabetError(ValueError):
 class Text:
     """An immutable sequence of integer letters in ``[0, sigma)``.
 
-    ``sigma`` defaults to ``max(letters) + 1``. The alphabet size must stay
+    ``sigma`` defaults to ``max(letters) + 1``; like the letters, a given
+    ``sigma`` must be an int that is not a bool. The alphabet size must stay
     within ``max(2, n) ** ALPHABET_EXPONENT`` so that rank reduction keeps
     index construction near linear time.
     """
@@ -35,6 +38,8 @@ class Text:
         n = len(letters)
         if sigma is None:
             sigma = max(letters) + 1 if letters else 1
+        elif not isinstance(sigma, int) or isinstance(sigma, bool):
+            raise AlphabetError(f"sigma must be an int, got {sigma!r}")
         if sigma < 1:
             raise AlphabetError(f"sigma must be >= 1, got {sigma}")
         if n > 0 and sigma > max(2, n) ** ALPHABET_EXPONENT:
@@ -96,122 +101,77 @@ def pattern_letters(pattern, sigma: int) -> list[int]:
     return pat
 
 
-def _sais(s: list[int], sigma: int) -> list[int]:
-    """Suffix array by induced sorting.
+def _dc3(s: np.ndarray) -> np.ndarray:
+    """Suffix array of ``s``, an int64 array of letters >= 1, by the DC3
+    (skew) algorithm of Kärkkäinen and Sanders (ICALP 2003).
 
-    ``s`` must end in a unique smallest sentinel (letter 0 appearing only
-    there). Runs in linear time, recursing on at most half the positions.
+    Sorts the sample suffixes, those at i % 3 != 0, by naming their
+    letter triples and recursing on the names when they repeat; then sorts
+    the suffixes at i % 3 == 0 by (letter, sample rank) and merges them in.
+    Each level works on 2/3 of the positions of the one above and costs a
+    constant number of numpy sorts and searches, so the whole takes
+    O(n log n) time (O(n) with radix sorts in place of numpy's). Every
+    packed key is below (n + 1) ** 2, so it fits int64.
     """
     n = len(s)
-    if n == 1:
-        return [0]
-    if n == 2:
-        return [1, 0]
-
-    # stype[i] is 1 when suffix i is smaller than suffix i+1 (S-type).
-    stype = bytearray(n)
-    stype[n - 1] = 1
-    for i in range(n - 2, -1, -1):
-        a, b = s[i], s[i + 1]
-        if a < b or (a == b and stype[i + 1]):
-            stype[i] = 1
-
-    is_lms = bytearray(n)
-    lms: list[int] = []
-    for i in range(1, n):
-        if stype[i] and not stype[i - 1]:
-            is_lms[i] = 1
-            lms.append(i)
-
-    bucket = [0] * sigma
-    for a in s:
-        bucket[a] += 1
-    heads = [0] * sigma
-    tails = [0] * sigma
-    total = 0
-    for a in range(sigma):
-        heads[a] = total
-        total += bucket[a]
-        tails[a] = total
-
-    sa = [-1] * n
-
-    def induce(order: list[int]) -> None:
-        for i in range(n):
-            sa[i] = -1
-        t = tails.copy()
-        for i in reversed(order):
-            a = s[i]
-            t[a] -= 1
-            sa[t[a]] = i
-        h = heads.copy()
-        for r in range(n):
-            i = sa[r] - 1
-            if i >= 0 and not stype[i]:
-                a = s[i]
-                sa[h[a]] = i
-                h[a] += 1
-        t = tails.copy()
-        for r in range(n - 1, -1, -1):
-            i = sa[r] - 1
-            if i >= 0 and stype[i]:
-                a = s[i]
-                t[a] -= 1
-                sa[t[a]] = i
-
-    # First pass: any placement of LMS positions within their buckets
-    # induces the LMS substrings in sorted order.
-    induce(lms)
-    sorted_lms = [i for i in sa if is_lms[i]]
-
-    # Name LMS substrings by comparing neighbours in sorted order.
-    names = [-1] * n
-    cur = 0
-    prev = sorted_lms[0]
-    names[prev] = 0
-    for k in range(1, len(sorted_lms)):
-        i = sorted_lms[k]
-        j = prev
-        d = 0
-        differ = False
-        while True:
-            if s[i + d] != s[j + d] or stype[i + d] != stype[j + d]:
-                differ = True
-                break
-            if d > 0 and (is_lms[i + d] or is_lms[j + d]):
-                differ = not (is_lms[i + d] and is_lms[j + d])
-                break
-            d += 1
-        if differ:
-            cur += 1
-            prev = i
-        names[i] = cur
-
-    if cur + 1 == len(lms):
-        order = [0] * len(lms)
-        for i in lms:
-            order[names[i]] = i
-    else:
-        reduced = [names[i] for i in lms]
-        sub = _sais(reduced, cur + 1)
-        order = [lms[r] for r in sub]
-
-    induce(order)
+    t = np.zeros(n + 3, np.int64)
+    t[:n] = s
+    # The names of the triples at i % 3 == 1 come first in the recursion,
+    # so the last of them must hold padding to keep a comparison from
+    # running on into the names at i % 3 == 2. When n % 3 == 1 that takes
+    # an extra all-padding triple at n, the empty suffix.
+    p12 = np.concatenate((np.arange(1, n + (n % 3 == 1), 3), np.arange(2, n, 3)))
+    triples = t[p12 + np.arange(3)[:, None]]
+    order = np.lexsort(triples[::-1])
+    triples = triples[:, order]
+    names = np.cumsum(np.r_[True, (triples[:, 1:] != triples[:, :-1]).any(0)])
+    if names[-1] < len(order):
+        reduced = np.empty(len(order), np.int64)
+        reduced[order] = names
+        order = _dc3(reduced)
+    s12 = p12[order]
+    # rank[i] orders the sample suffixes from 1, the extra empty one at n
+    # first, and is 0 past them.
+    r = len(s12) + 1
+    rank = np.zeros(n + 3, np.int64)
+    rank[s12] = np.arange(1, r)
+    s12 = s12[s12 < n]
+    p0 = np.arange(0, n, 3)
+    k0 = t[p0] * r + rank[p0 + 1]
+    by_k0 = np.argsort(k0)
+    s0, k0 = p0[by_k0], k0[by_k0]
+    s1 = s12[s12 % 3 == 1]
+    s2 = s12[s12 % 3 == 2]
+    # A suffix at i % 3 == 0 compares with one at j % 3 == 1 by (letter,
+    # rank of the next suffix), and with one at j % 3 == 2 by (two
+    # letters, rank of the suffix after them), the letter pair ranked.
+    width = int(t.max()) + 1
+    _, pair = np.unique(
+        np.concatenate((t[s0] * width + t[s0 + 1], t[s2] * width + t[s2 + 1])),
+        return_inverse=True,
+    )
+    k02, k2 = pair[: len(s0)] * r + rank[s0 + 2], pair[len(s0) :] * r + rank[s2 + 2]
+    at = (
+        np.arange(len(s0))
+        + np.searchsorted(t[s1] * r + rank[s1 + 1], k0)
+        + np.searchsorted(k2, k02)
+    )
+    sa = np.empty(n, np.int64)
+    sample = np.ones(n, bool)
+    sample[at] = False
+    sa[at] = s0
+    sa[sample] = s12
     return sa
 
 
 def suffix_array(letters) -> list[int]:
-    """Sorted start positions of all suffixes of ``letters``."""
-    n = len(letters)
-    if n == 0:
+    """Sorted start positions of all suffixes of ``letters``, by DC3 over
+    the ranks of the distinct letters."""
+    if len(letters) == 0:
         return []
-    if n == 1:
-        return [0]
     # Ranks from a dict rather than numpy, so letters need not fit int64.
     rank = {c: r for r, c in enumerate(sorted(set(letters)), 1)}
-    s = [rank[c] for c in letters]
-    s.append(0)
-    return _sais(s, len(rank) + 1)[1:]
+    return _dc3(np.array([rank[c] for c in letters], np.int64)).tolist()
 
 
 def inverse_permutation(sa: list[int]) -> list[int]:
@@ -246,8 +206,9 @@ def lcp_array(letters, sa: list[int]) -> list[int]:
 class ArgRmq:
     """Sparse table answering range arg-max in O(1).
 
-    Stores indices (int32) per doubling level, built with vectorized
-    comparisons. Ties resolve to the leftmost index.
+    Keeps ``values`` as given and one ``array('i')`` of indices per
+    doubling level, built with vectorized comparisons, so a query reads
+    plain ints. Ties resolve to the leftmost index.
     """
 
     __slots__ = ("values", "rows")
@@ -257,15 +218,16 @@ class ArgRmq:
         n = len(v)
         if n == 0:
             raise ValueError("ArgRmq needs at least one value")
-        self.values = v
-        rows = [np.arange(n, dtype=np.int32)]
+        self.values = values
+        row = np.arange(n, dtype=np.int32)
+        rows = [array("i", row.tobytes())]
         span = 2
         while span <= n:
-            prev = rows[-1]
             m = n - span + 1
-            left = prev[:m]
-            right = prev[span // 2 : span // 2 + m]
-            rows.append(np.where(v[right] > v[left], right, left))
+            left = row[:m]
+            right = row[span // 2 : span // 2 + m]
+            row = np.where(v[right] > v[left], right, left)
+            rows.append(array("i", row.tobytes()))
             span *= 2
         self.rows = rows
 
@@ -275,9 +237,10 @@ class ArgRmq:
             raise ValueError(f"empty range [{lo}, {hi}]")
         k = (hi - lo + 1).bit_length() - 1
         row = self.rows[k]
-        a = int(row[lo])
-        b = int(row[hi - (1 << k) + 1])
-        return b if self.values[b] > self.values[a] else a
+        a = row[lo]
+        b = row[hi - (1 << k) + 1]
+        values = self.values
+        return b if values[b] > values[a] else a
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,13 @@ def test_epsilon_is_enforced(example_handle):
         occurrences_after(example_handle, Substitute(0, b"abcde"))
 
 
+@pytest.mark.parametrize("epsilon", [True, 1.5, 2.0, "2"])
+def test_epsilon_must_be_an_int(epsilon):
+    eti = preprocess_text(Text([0, 1, 0, 1], 2))
+    with pytest.raises(ValueError, match="epsilon"):
+        preprocess_pattern(eti, [0, 1], epsilon)
+
+
 def test_block_letters_must_fit_alphabet():
     eti = preprocess_text(Text([0, 1, 0, 1], 2))
     ph = preprocess_pattern(eti, [0, 1], epsilon=4)

@@ -1,5 +1,7 @@
 """Suffix array, LCP, range argmax, and one-sided position reporting."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,8 @@ from ephemedit.text_core import (
     lcp_array,
     suffix_array,
 )
+
+from families import fibonacci_word, huge_alphabet, periodic_with_noise, square
 
 EXAMPLE = list(b"ananabannabanaana")
 
@@ -64,6 +68,22 @@ def test_lcp_matches_brute(letters):
         assert lcp[r] == k
 
 
+@pytest.mark.parametrize("n", [1998, 1999, 2000])
+@pytest.mark.parametrize("family", ["unary", "fibonacci", "periodic", "square", "huge-sigma"])
+def test_suffix_array_on_adversarial_families(family, n):
+    # The three lengths cover each n mod 3 case, and the repetitive
+    # families make DC3 recurse many levels deep.
+    rng = random.Random(n)
+    letters = {
+        "unary": lambda: [0] * n,
+        "fibonacci": lambda: fibonacci_word(n),
+        "periodic": lambda: periodic_with_noise(rng, n),
+        "square": lambda: square(rng, n),
+        "huge-sigma": lambda: huge_alphabet(rng, n)[0],
+    }[family]()
+    assert suffix_array(letters) == brute_sa(letters)
+
+
 def test_inverse_permutation():
     assert inverse_permutation(EXAMPLE_SA)[16] == 0
     sa = suffix_array(list(b"mississippi"))
@@ -83,6 +103,13 @@ def test_text_validation():
     with pytest.raises(AlphabetError):
         Text([0, 0], sigma=257)  # max(2, 2)**8 == 256
     Text([0, 0], sigma=256)
+
+
+@pytest.mark.parametrize("sigma", [2.5, 3.0, True, "3"])
+def test_text_rejects_non_int_sigma(sigma):
+    # A sigma that int() would accept is rejected, not read.
+    with pytest.raises(AlphabetError, match="sigma"):
+        Text([0, 1, 0], sigma=sigma)
 
 
 def test_argrmq_small():
