@@ -24,16 +24,19 @@ print(f"text    T = {TEXT.decode()}   (n = {len(TEXT)})")
 print(f"pattern P = {PATTERN.decode()}   (m = {len(PATTERN)})")
 print()
 
-# The text is preprocessed once: suffix arrays and suffix trees for the
-# text and its reversal. Patterns are registered afterwards, each with a
-# budget epsilon for the largest block it will ever be asked about.
+# The text is preprocessed once: a suffix array and a rank table over its
+# Burrows-Wheeler transform, for the text and its reversal. Patterns are
+# registered afterwards, each with a budget epsilon for the largest block
+# it will ever be asked about.
 eti = preprocess_text(Text(list(TEXT), 256))
 ph = preprocess_pattern(eti, list(PATTERN), epsilon=4)
 
 print("suffix array of T:", eti.fwd.sa)
 print()
 
-# Matching statistics tell how far each pattern suffix matches in T.
+# Matching statistics tell how far each pattern suffix matches in T. The
+# index reads the same intervals off backward search instead, with no
+# suffix tree: eti.fwd.suffix_intervals(pattern).
 ms = matching_statistics(build_suffix_tree(list(TEXT)), list(PATTERN))
 for i in range(len(PATTERN)):
     iv = ms.suf_interval[i]
@@ -44,7 +47,7 @@ print()
 # Decorated pattern suffixes are decomposed into disjoint rank intervals:
 # the entry covering a suffix's rank names the longest pattern suffix
 # that prefixes it. Context groups do the same per preceding letter.
-tree = build_tree_p(list(PATTERN), ms)
+tree = build_tree_p(list(PATTERN), ms.suf_interval)
 print("disjoint decomposition:",
       [(e.start, e.end, e.suffix_start) for e in decompose_disjoint(tree)])
 for key, entries in sorted(build_context_groups(list(PATTERN), ms, 1).items()):

@@ -1,7 +1,10 @@
 """Pattern occurrences under a single provisional edit of an indexed text.
 
-`preprocess_text` indexes a text once, forward and reversed.
-`preprocess_pattern` then prepares one pattern against that index, and
+`preprocess_text` indexes a text once, forward and reversed: a suffix
+array, its inverse, a range-max table and a rank table over the
+Burrows-Wheeler transform per direction, and no suffix tree.
+`preprocess_pattern` then prepares one pattern against that index, reading
+the suffix-array interval of each pattern suffix off backward search, and
 `occurrences_after` answers, for any single insert, delete, or substitute,
 where the pattern would occur in the edited text. Nothing is materialized
 and nothing is mutated, so edits can be queried in any order.
@@ -27,22 +30,22 @@ from .edits import Delete, EditOp, Insert, Substitute, validate_edit
 from .pattern_trees import build_tree_p, context_group_rows, decompose_disjoint
 from .predecessor_sets import PredSet
 from .prefix_suffix import PrefSufIndex
-from .suffix_tree import SuffixTree, matching_statistics
+# Read by perfbench only; ROADMAP direction 1 removes it.
+from .suffix_tree import matching_statistics  # noqa: F401
 from .text_core import Text, TextIndex, pattern_letters
 
 
 class EphemeralTextIndex:
-    """Forward and reversed suffix structures over one immutable text."""
+    """Forward and reversed text indexes over one immutable text."""
 
     __slots__ = ("text", "fwd", "rev", "st_fwd", "st_rev")
 
     def __init__(self, text: Text):
         self.text = text
         self.fwd = TextIndex(text)
-        rev = text.reversed()
-        self.rev = TextIndex(rev)
-        self.st_fwd = SuffixTree(text, sa=self.fwd.sa)
-        self.st_rev = SuffixTree(rev, sa=self.rev.sa)
+        self.rev = TextIndex(text.reversed())
+        self.st_fwd = None  # read by perfbench; ROADMAP direction 1 removes it
+        self.st_rev = None  # read by perfbench; ROADMAP direction 1 removes it
 
     @property
     def n(self) -> int:
@@ -100,18 +103,18 @@ class PatternHandle:
         self.psi = PrefSufIndex(pat)
 
         n = eti.n
-        ms_fwd = matching_statistics(eti.st_fwd, pat)
-        self.tree_fwd = build_tree_p(pat, ms_fwd)
+        suf_fwd = eti.fwd.suffix_intervals(pat)
+        self.tree_fwd = build_tree_p(pat, suf_fwd)
         self.main_fwd = PredSet(decompose_disjoint(self.tree_fwd), n)
-        self.groups, *rows = context_group_rows(pat, ms_fwd.suf_interval, epsilon, n)
+        self.groups, *rows = context_group_rows(pat, suf_fwd, epsilon, n)
         self.group_set = PredSet(zip(*rows), max(1, len(self.groups)) * n)
         rev_pat = pat[::-1]
         self.rev_pattern = rev_pat
-        ms_rev = matching_statistics(eti.st_rev, rev_pat)
-        self.tree_rev = build_tree_p(rev_pat, ms_rev)
+        suf_rev = eti.rev.suffix_intervals(rev_pat)
+        self.tree_rev = build_tree_p(rev_pat, suf_rev)
         self.main_rev = PredSet(decompose_disjoint(self.tree_rev), n)
-        self.interval = ms_fwd.suf_interval[0]
-        self.rev_interval = ms_rev.suf_interval[0]
+        self.interval = suf_fwd[0]
+        self.rev_interval = suf_rev[0]
 
 
 def preprocess_pattern(eti: EphemeralTextIndex, pattern, epsilon: int) -> PatternHandle:

@@ -55,24 +55,24 @@ class SuffixPrefixTree:
         return not self.interval[i].is_empty
 
 
-def build_tree_p(pattern, ms: MatchingStats) -> SuffixPrefixTree:
+def build_tree_p(pattern, intervals: list[SaInterval]) -> SuffixPrefixTree:
     """Arrange the pattern's suffixes by prefix containment and decorate.
 
     Reversed, pattern[j:] is a prefix of pattern[i:] exactly when the
     reversed pattern's first m - j letters are a border of its first
     m - i, so the tree is the Knuth-Morris-Pratt failure tree of the
     reversed pattern: par[i] = m - g[m - i] with g its border array.
-    Decorations are read straight off the matching statistics.
+    Suffix i is decorated with intervals[i], its suffix-array interval.
     """
     pat = [int(c) for c in pattern]
     m = len(pat)
     if m == 0:
         raise ValueError("pattern must be non-empty")
-    if len(ms.ms_len) != m or len(ms.suf_interval) != m:
-        raise ValueError("matching statistics do not match the pattern length")
+    if len(intervals) != m:
+        raise ValueError("suffix intervals do not match the pattern length")
     g = border_array(pat[::-1])
     tree_par = [m - g[m - i] for i in range(m)] + [-1]
-    return SuffixPrefixTree(pat, tree_par, list(ms.suf_interval) + [EMPTY_INTERVAL])
+    return SuffixPrefixTree(pat, tree_par, list(intervals) + [EMPTY_INTERVAL])
 
 
 def decompose_disjoint(tree: SuffixPrefixTree) -> list[IntervalEntry]:

@@ -17,10 +17,12 @@ sentinel that sorts below every letter, and extracts for each text position
 the longest pattern suffix beginning there. No engine calls it: the
 pattern-matching engines read the same table off a Knuth-Morris-Pratt scan.
 
-So the library builds suffix trees only over texts: the general engine's
-forward and reversed trees, and the joint tree above. The tree of a
-pattern's own suffixes comes from a border array instead (see
-`pattern_trees`).
+No engine builds a suffix tree. The general engine reads each pattern
+suffix's interval off backward search over the suffix array
+(`TextIndex.suffix_intervals`), which gives exactly `suf_interval`, and
+the tree of a pattern's own suffixes comes from a border array (see
+`pattern_trees`). The trees here serve the tests, the demos, and as the
+reference those two are checked against.
 """
 
 from __future__ import annotations

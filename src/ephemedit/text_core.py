@@ -1,7 +1,10 @@
 """Core text indexing: a suffix array by the DC3 (skew) algorithm in numpy,
 O(n log n) time with numpy's sorts, its inverse, a range-max table over
-suffix start positions, and one-sided occurrence reporting over suffix
-array intervals. The LCP array is computed here too, for suffix trees.
+suffix start positions, one-sided occurrence reporting over suffix array
+intervals, and a rank table over the Burrows-Wheeler transform whose
+backward search gives the suffix-array interval of every pattern suffix
+that occurs in the text. The LCP array is computed here too, for the
+suffix trees that the tests and demos build; the index builds none.
 
 Texts are sequences of integer letters. The alphabet may be polynomial in
 the text length (see ALPHABET_EXPONENT), which covers byte data as well as
@@ -11,6 +14,7 @@ tokenized inputs with large vocabularies.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,21 +168,28 @@ def _dc3(s: np.ndarray) -> np.ndarray:
     return sa
 
 
+def _dense_codes(letters) -> tuple[np.ndarray, list]:
+    """Each letter's rank among the distinct letters, from 1, as an int64
+    array, and the distinct letters in increasing order. Ranks come from
+    a dict rather than numpy, so letters need not fit int64."""
+    alphabet = sorted(set(letters))
+    rank = {c: r for r, c in enumerate(alphabet, 1)}
+    return np.array([rank[c] for c in letters], np.int64), alphabet
+
+
 def suffix_array(letters) -> list[int]:
     """Sorted start positions of all suffixes of ``letters``, by DC3 over
     the ranks of the distinct letters."""
     if len(letters) == 0:
         return []
-    # Ranks from a dict rather than numpy, so letters need not fit int64.
-    rank = {c: r for r, c in enumerate(sorted(set(letters)), 1)}
-    return _dc3(np.array([rank[c] for c in letters], np.int64)).tolist()
+    return _dc3(_dense_codes(letters)[0]).tolist()
 
 
-def inverse_permutation(sa: list[int]) -> list[int]:
-    isa = [0] * len(sa)
-    for r, i in enumerate(sa):
-        isa[i] = r
-    return isa
+def inverse_permutation(sa) -> list[int]:
+    sa = np.asarray(sa, np.int64)
+    isa = np.empty_like(sa)
+    isa[sa] = np.arange(len(sa))
+    return isa.tolist()
 
 
 def lcp_array(letters, sa: list[int]) -> list[int]:
@@ -263,18 +274,37 @@ EMPTY_INTERVAL = SaInterval(0, -1)
 
 
 class TextIndex:
-    """Suffix array, its inverse, and a range-max table over suffix start
-    positions, for one text."""
+    """Suffix array, its inverse, a range-max table over suffix start
+    positions, and a rank table over the Burrows-Wheeler transform, for
+    one text.
 
-    __slots__ = ("text", "sa", "isa", "pos_max")
+    The rank table has one row per suffix, the empty one included: row 0
+    is the empty suffix and row r + 1 the suffix of rank r. A row's BWT
+    letter is the letter before its suffix, the text's last letter for
+    row 0 and code 0 for the suffix at 0. `bwt_rows` lists the rows
+    grouped by the code of their BWT letter, ascending within a group,
+    and code c's group runs from `bwt_start[c]` to `bwt_start[c + 1]`.
+    A letter's code is its rank, from 1, in `alphabet`, the sorted list of
+    distinct letters.
+    """
+
+    __slots__ = ("text", "sa", "isa", "pos_max", "alphabet", "bwt_rows", "bwt_start")
 
     def __init__(self, text: Text):
         if len(text) == 0:
             raise ValueError("cannot index an empty text")
         self.text = text
+        codes, self.alphabet = _dense_codes(text.letters)
         self.sa = suffix_array(text.letters)
-        self.isa = inverse_permutation(self.sa)
+        sa = np.asarray(self.sa, np.int64)
+        self.isa = inverse_permutation(sa)
         self.pos_max = ArgRmq(self.sa)
+        bwt = np.empty(len(sa) + 1, np.int64)
+        bwt[0] = codes[-1]
+        bwt[1:] = np.where(sa > 0, codes[sa - 1], 0)
+        rows = np.argsort(bwt, kind="stable").astype(np.int32)
+        self.bwt_rows = array("i", rows.tobytes())
+        self.bwt_start = array("i", [0, *np.cumsum(np.bincount(bwt)).tolist()])
 
     @property
     def n(self) -> int:
@@ -305,4 +335,34 @@ class TextIndex:
                 stack.append((l, rmax - 1))
             if rmax < r:
                 stack.append((rmax + 1, r))
+        return out
+
+    def suffix_intervals(self, pattern) -> list[SaInterval]:
+        """The suffix-array interval of each suffix pattern[i:] that occurs
+        in the text, empty for the others, by backward search over the
+        rank table (Ferragina and Manzini, FOCS 2000).
+
+        A row's place in `bwt_rows` is the row of its suffix extended by
+        its BWT letter, so the rows of c + X are the places, within c's
+        group, of the rows of X whose BWT letter is c: two bisects into
+        the group turn the rows of pattern[i + 1:] into those of
+        pattern[i:]. The search runs i from m - 1 down to 0 and stops at
+        the first empty interval or letter absent from the text, since
+        every longer suffix is absent too. O(m log n) time.
+        """
+        out = [EMPTY_INTERVAL] * len(pattern)
+        rows = self.bwt_rows
+        start = self.bwt_start
+        alphabet = self.alphabet
+        # Rows lo to hi - 1 start with pattern[i + 1:], at first the empty suffix.
+        lo, hi = 0, len(rows)
+        for i in range(len(pattern) - 1, -1, -1):
+            c = bisect_left(alphabet, pattern[i]) + 1
+            if c > len(alphabet) or alphabet[c - 1] != pattern[i]:
+                break
+            lo = bisect_left(rows, lo, start[c], start[c + 1])
+            hi = bisect_left(rows, hi, start[c], start[c + 1])
+            if lo == hi:
+                break
+            out[i] = SaInterval(lo - 1, hi - 2)
         return out

@@ -61,7 +61,7 @@ def test_criterion_2_decomposition_and_groups():
     t0 = time.perf_counter()
     ms = matching_statistics(build_suffix_tree(EXAMPLE), PATTERN)
     entries = {(e.start, e.end, e.suffix_start)
-               for e in decompose_disjoint(build_tree_p(PATTERN, ms))}
+               for e in decompose_disjoint(build_tree_p(PATTERN, ms.suf_interval))}
     tree_ok = entries == {(7, 7, 1), (4, 6, 3), (0, 3, 5), (8, 8, 5), (15, 15, 2), (11, 14, 4)}
 
     groups = build_context_groups(PATTERN, ms, max_len=1)

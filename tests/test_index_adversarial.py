@@ -11,7 +11,7 @@ from ephemedit.ephemeral_index import occurrence_classes, preprocess_pattern, pr
 from ephemedit.pattern_trees import build_context_groups
 from ephemedit.predecessor_sets import PredSet
 from ephemedit.reference_oracle import naive_search, occurrences_after_oracle
-from ephemedit.suffix_tree import matching_statistics
+from ephemedit.suffix_tree import build_suffix_tree, matching_statistics
 from ephemedit.text_core import Text
 
 from families import fibonacci_word, huge_alphabet, periodic_with_noise, square
@@ -142,7 +142,8 @@ def test_packed_groups_match_one_set_per_group():
         epsilon = rng.randint(0, 5)
         eti = preprocess_text(Text(text, sigma))
         ph = preprocess_pattern(eti, pattern, epsilon)
-        groups = build_context_groups(pattern, matching_statistics(eti.st_fwd, pattern), epsilon)
+        ms = matching_statistics(build_suffix_tree(eti.text), pattern)
+        groups = build_context_groups(pattern, ms, epsilon)
         assert set(ph.groups) == set(groups)
         for word, entries in groups.items():
             gid = ph.groups[word]

@@ -22,7 +22,7 @@ PATTERN = list(b"banana")
 
 def example_tree():
     ms = matching_statistics(build_suffix_tree(EXAMPLE), PATTERN)
-    return build_tree_p(PATTERN, ms), ms
+    return build_tree_p(PATTERN, ms.suf_interval), ms
 
 
 def as_triples(entries):
@@ -86,14 +86,14 @@ def test_parents_match_brute_force_at_size(family):
     for m in (1, 2, 7, 64, 250, 500):
         j = rng.randrange(len(text) - m + 1)
         p = text[j : j + m]
-        tree = build_tree_p(p, matching_statistics(st, p))
+        tree = build_tree_p(p, matching_statistics(st, p).suf_interval)
         assert tree.par == brute_parents(p), (family, m)
 
 
 def test_single_letter_pattern_absent_from_text():
     t = list(b"aaa")
     ms = matching_statistics(build_suffix_tree(t), list(b"z"))
-    tree = build_tree_p(list(b"z"), ms)
+    tree = build_tree_p(list(b"z"), ms.suf_interval)
     assert tree.par == [1, -1]
     assert decompose_disjoint(tree) == []
     assert build_context_groups(list(b"z"), ms, max_len=2) == {}
@@ -107,7 +107,7 @@ def test_entry_budget():
         t = [rng.randrange(3) for _ in range(n)]
         p = [rng.randrange(3) for _ in range(m)]
         ms = matching_statistics(build_suffix_tree(t, sigma=3), p)
-        entries = decompose_disjoint(build_tree_p(p, ms))
+        entries = decompose_disjoint(build_tree_p(p, ms.suf_interval))
         assert len(entries) <= 2 * m
         groups = build_context_groups(p, ms, max_len=3)
         for w, g in groups.items():
@@ -150,7 +150,7 @@ def test_decomposition_semantics_random():
         sigma = max(2, max(t) + 1)
         idx = TextIndex(Text(t, sigma))
         ms = matching_statistics(build_suffix_tree(t, sigma=sigma), p)
-        entries = decompose_disjoint(build_tree_p(p, ms))
+        entries = decompose_disjoint(build_tree_p(p, ms.suf_interval))
         prev_end = -1
         for e in entries:
             assert e.start > prev_end, "entries overlap"

@@ -1,4 +1,5 @@
-"""Suffix array, LCP, range argmax, and one-sided position reporting."""
+"""Suffix array, LCP, range argmax, one-sided position reporting, and
+backward search over the rank table."""
 
 import random
 
@@ -6,6 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ephemedit.edits import Substitute
+from ephemedit.ephemeral_index import occurrences_after, preprocess_pattern, preprocess_text
+from ephemedit.reference_oracle import occurrences_after_oracle
+from ephemedit.suffix_tree import SuffixTree, matching_statistics
 from ephemedit.text_core import (
     EMPTY_INTERVAL,
     AlphabetError,
@@ -210,3 +215,99 @@ def test_index_arrays_are_consistent():
     assert idx.sa == EXAMPLE_SA
     assert lcp_array(EXAMPLE, idx.sa) == EXAMPLE_LCP
     assert int(np.argmax(idx.pos_max.values)) == idx.isa[idx.n - 1]
+
+
+def scanned_intervals(letters: list[int], sa: list[int], pattern: list) -> list[SaInterval]:
+    """The rank interval of every pattern suffix, by scanning all of ``sa``
+    for the suffixes that start with it. ``run[j]`` holds the common prefix
+    length of text[j:] and the current pattern suffix."""
+    code = {c: k for k, c in enumerate(set(letters))}
+    t = np.array([code[c] for c in letters])
+    n, m = len(t), len(pattern)
+    sa = np.array(sa)
+    run = np.zeros(n + 1, np.int64)
+    out = []
+    for i in range(m - 1, -1, -1):
+        run[:n] = np.where(t == code.get(pattern[i], -1), run[1:] + 1, 0)
+        ranks = np.flatnonzero(run[sa] >= m - i)
+        if len(ranks) == 0:
+            out.append(EMPTY_INTERVAL)
+            continue
+        assert ranks[-1] - ranks[0] + 1 == len(ranks), "interval must be contiguous"
+        out.append(SaInterval(int(ranks[0]), int(ranks[-1])))
+    return out[::-1]
+
+
+def check_suffix_intervals(letters: list[int], sigma: int, patterns) -> None:
+    """Backward search on the text and on its reversal against matching
+    statistics over a suffix tree and against a scan of the suffix array."""
+    text = Text(letters, sigma)
+    for t in (text, text.reversed()):
+        idx = TextIndex(t)
+        tree = SuffixTree(t, sa=idx.sa)
+        for pattern in patterns:
+            got = idx.suffix_intervals(pattern)
+            assert got == matching_statistics(tree, pattern).suf_interval, pattern
+            assert got == scanned_intervals(t.letters, idx.sa, pattern), pattern
+
+
+def test_suffix_intervals_on_example():
+    idx = TextIndex(Text(EXAMPLE))
+    got = idx.suffix_intervals(list(b"xbana"))
+    assert got[1:] == [rank_interval(idx, list(b"bana"[i:])) for i in range(4)]
+    assert got[0] == EMPTY_INTERVAL  # "x" is not in the text
+    assert idx.suffix_intervals(list(b"ana"))[0] == SaInterval(4, 7)
+    twice = idx.suffix_intervals(EXAMPLE + EXAMPLE)
+    assert twice[:17] == [EMPTY_INTERVAL] * 17
+    assert twice[17] == SaInterval(7, 7)  # the whole text, at rank isa[0]
+
+
+@pytest.mark.parametrize("n", [1998, 1999, 2000])
+@pytest.mark.parametrize("family", ["unary", "fibonacci", "periodic", "square", "huge-sigma"])
+def test_suffix_intervals_on_adversarial_families(family, n):
+    rng = random.Random(f"intervals/{family}/{n}")
+    letters, sigma = {
+        "unary": lambda: ([0] * n, 2),
+        "fibonacci": lambda: (fibonacci_word(n), 3),
+        "periodic": lambda: (periodic_with_noise(rng, n), 5),
+        "square": lambda: (square(rng, n), 4),
+        "huge-sigma": lambda: huge_alphabet(rng, n),
+    }[family]()
+    present = set(letters)
+    absent = next(c for c in range(sigma) if c not in present)
+    cuts = []
+    for m in (1, 2, 9, 64, 400):
+        j = rng.randrange(n - m + 1)
+        cuts.append(letters[j : j + m])
+    patterns = [
+        *cuts,
+        # A letter absent from the text, in the middle and at the end.
+        cuts[3][:30] + [absent] + cuts[3][30:],
+        cuts[2] + [absent],
+        # Longer than the text, the whole text among its suffixes.
+        letters[n // 2 :] + letters,
+    ]
+    check_suffix_intervals(letters, sigma, patterns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 2), min_size=1, max_size=30),
+    st.lists(st.lists(st.integers(0, 3), min_size=1, max_size=40), min_size=1, max_size=4),
+)
+def test_suffix_intervals_match_tree_and_scan(letters, patterns):
+    # Letter 3 never occurs in the text, and patterns may outgrow it.
+    check_suffix_intervals(letters, 4, patterns)
+
+
+def test_index_path_builds_no_suffix_tree(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a suffix tree was built on the index path")
+
+    monkeypatch.setattr(SuffixTree, "__init__", refuse)
+    with pytest.raises(AssertionError):
+        SuffixTree([0, 1])
+    pattern = list(b"banana")
+    ph = preprocess_pattern(preprocess_text(EXAMPLE, 256), pattern, epsilon=4)
+    op = Substitute(14, tuple(b"na"))
+    assert occurrences_after(ph, op) == occurrences_after_oracle(EXAMPLE, pattern, op) == [10]
