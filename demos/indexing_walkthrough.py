@@ -31,7 +31,7 @@ print()
 eti = preprocess_text(Text(list(TEXT), 256))
 ph = preprocess_pattern(eti, list(PATTERN), epsilon=4)
 
-print("suffix array of T:", eti.fwd.sa)
+print("suffix array of T:", list(eti.fwd.sa))
 print()
 
 # Matching statistics tell how far each pattern suffix matches in T. The

@@ -6,6 +6,12 @@ backward search gives the suffix-array interval of every pattern suffix
 that occurs in the text. The LCP array is computed here too, for the
 suffix trees that the tests and demos build; the index builds none.
 
+DC3 sorts letter triples as single packed int64 keys. A level whose keys
+could reach 2^63, which takes letters beyond 2^21, ranks its letters and
+letter pairs densely first. `TextIndex` holds the suffix array and its
+inverse as int32 ``array('i')``, 4 bytes per letter, so a text has fewer
+than 2^31 letters.
+
 Texts are sequences of integer letters. The alphabet may be polynomial in
 the text length (see ALPHABET_EXPONENT), which covers byte data as well as
 tokenized inputs with large vocabularies.
@@ -40,6 +46,12 @@ class Text:
     def __init__(self, letters, sigma: int | None = None):
         letters = list(letters)
         n = len(letters)
+        # Whole-list passes in C; a walk only names the first bad letter,
+        # or lets through int subclasses other than bool.
+        if set(map(type, letters)) - {int}:
+            for i, a in enumerate(letters):
+                if not isinstance(a, int) or isinstance(a, bool):
+                    raise AlphabetError(f"letter at position {i} is not an int: {a!r}")
         if sigma is None:
             sigma = max(letters) + 1 if letters else 1
         elif not isinstance(sigma, int) or isinstance(sigma, bool):
@@ -51,13 +63,12 @@ class Text:
                 f"sigma={sigma} exceeds max(2, n)**{ALPHABET_EXPONENT} "
                 f"for n={n}"
             )
-        for i, a in enumerate(letters):
-            if not isinstance(a, int) or isinstance(a, bool):
-                raise AlphabetError(f"letter at position {i} is not an int: {a!r}")
-            if not 0 <= a < sigma:
-                raise AlphabetError(
-                    f"letter {a} at position {i} outside [0, {sigma})"
-                )
+        if letters and (min(letters) < 0 or max(letters) >= sigma):
+            for i, a in enumerate(letters):
+                if not 0 <= a < sigma:
+                    raise AlphabetError(
+                        f"letter {a} at position {i} outside [0, {sigma})"
+                    )
         self.letters = letters
         self.sigma = sigma
 
@@ -114,8 +125,15 @@ def _dc3(s: np.ndarray) -> np.ndarray:
     the suffixes at i % 3 == 0 by (letter, sample rank) and merges them in.
     Each level works on 2/3 of the positions of the one above and costs a
     constant number of numpy sorts and searches, so the whole takes
-    O(n log n) time (O(n) with radix sorts in place of numpy's). Every
-    packed key is below (n + 1) ** 2, so it fits int64.
+    O(n log n) time (O(n) with radix sorts in place of numpy's).
+
+    A triple (a, b, c) sorts as the one int64 key (a·w + b)·w + c, for
+    letters below w, and the merge compares (a·w + b)·r + rank, for sample
+    ranks below r. When w³ or w²·r exceeds 2^63, which takes letters
+    beyond 2^21 (a text of over about 2.09 M letters, or ``s`` given such
+    letters directly), the level first ranks its letters and its letter
+    pairs densely, so each pair a·w + b becomes its rank among the pairs
+    and every key stays below (n + 3)².
     """
     n = len(s)
     t = np.zeros(n + 3, np.int64)
@@ -125,10 +143,18 @@ def _dc3(s: np.ndarray) -> np.ndarray:
     # running on into the names at i % 3 == 2. When n % 3 == 1 that takes
     # an extra all-padding triple at n, the empty suffix.
     p12 = np.concatenate((np.arange(1, n + (n % 3 == 1), 3), np.arange(2, n, 3)))
-    triples = t[p12 + np.arange(3)[:, None]]
-    order = np.lexsort(triples[::-1])
-    triples = triples[:, order]
-    names = np.cumsum(np.r_[True, (triples[:, 1:] != triples[:, :-1]).any(0)])
+    r = len(p12) + 1  # sample ranks run from 1 to r - 1
+    w = int(t.max()) + 1
+    if w**3 <= 2**63 and w * w * r <= 2**63:
+        pair = t[:-1] * w + t[1:]
+    else:
+        _, t = np.unique(t, return_inverse=True)
+        w = int(t.max()) + 1
+        _, pair = np.unique(t[:-1] * w + t[1:], return_inverse=True)
+    key = pair[p12] * w + t[p12 + 2]
+    order = np.argsort(key)
+    key = key[order]
+    names = np.cumsum(np.r_[True, key[1:] != key[:-1]])
     if names[-1] < len(order):
         reduced = np.empty(len(order), np.int64)
         reduced[order] = names
@@ -136,7 +162,6 @@ def _dc3(s: np.ndarray) -> np.ndarray:
     s12 = p12[order]
     # rank[i] orders the sample suffixes from 1, the extra empty one at n
     # first, and is 0 past them.
-    r = len(s12) + 1
     rank = np.zeros(n + 3, np.int64)
     rank[s12] = np.arange(1, r)
     s12 = s12[s12 < n]
@@ -147,18 +172,12 @@ def _dc3(s: np.ndarray) -> np.ndarray:
     s1 = s12[s12 % 3 == 1]
     s2 = s12[s12 % 3 == 2]
     # A suffix at i % 3 == 0 compares with one at j % 3 == 1 by (letter,
-    # rank of the next suffix), and with one at j % 3 == 2 by (two
-    # letters, rank of the suffix after them), the letter pair ranked.
-    width = int(t.max()) + 1
-    _, pair = np.unique(
-        np.concatenate((t[s0] * width + t[s0 + 1], t[s2] * width + t[s2 + 1])),
-        return_inverse=True,
-    )
-    k02, k2 = pair[: len(s0)] * r + rank[s0 + 2], pair[len(s0) :] * r + rank[s2 + 2]
+    # rank of the next suffix), and with one at j % 3 == 2 by (letter
+    # pair, rank of the suffix after them).
     at = (
         np.arange(len(s0))
         + np.searchsorted(t[s1] * r + rank[s1 + 1], k0)
-        + np.searchsorted(k2, k02)
+        + np.searchsorted(pair[s2] * r + rank[s2 + 2], pair[s0] * r + rank[s0 + 2])
     )
     sa = np.empty(n, np.int64)
     sample = np.ones(n, bool)
@@ -185,11 +204,11 @@ def suffix_array(letters) -> list[int]:
     return _dc3(_dense_codes(letters)[0]).tolist()
 
 
-def inverse_permutation(sa) -> list[int]:
-    sa = np.asarray(sa, np.int64)
-    isa = np.empty_like(sa)
-    isa[sa] = np.arange(len(sa))
-    return isa.tolist()
+def inverse_permutation(sa) -> array:
+    """``isa`` with ``isa[sa[r]] == r``, by one numpy scatter."""
+    isa = np.empty(len(sa), np.int32)
+    isa[np.asarray(sa, np.int64)] = np.arange(len(sa), dtype=np.int32)
+    return array("i", isa.tobytes())
 
 
 def lcp_array(letters, sa: list[int]) -> list[int]:
@@ -218,28 +237,30 @@ class ArgRmq:
     """Sparse table answering range arg-max in O(1).
 
     Keeps ``values`` as given and one ``array('i')`` of indices per
-    doubling level, built with vectorized comparisons, so a query reads
-    plain ints. Ties resolve to the leftmost index.
+    doubling level, so a query reads plain ints. Ties resolve to the
+    leftmost index. The build carries each level's winning values beside
+    its winning indices, so every level is two `np.where` over contiguous
+    slices of the one below, with no gather through the indices.
     """
 
     __slots__ = ("values", "rows")
 
     def __init__(self, values):
-        v = np.asarray(values, dtype=np.int64)
-        n = len(v)
+        val = np.asarray(values)
+        n = len(val)
         if n == 0:
             raise ValueError("ArgRmq needs at least one value")
         self.values = values
         row = np.arange(n, dtype=np.int32)
         rows = [array("i", row.tobytes())]
-        span = 2
-        while span <= n:
-            m = n - span + 1
-            left = row[:m]
-            right = row[span // 2 : span // 2 + m]
-            row = np.where(v[right] > v[left], right, left)
+        half = 1
+        while 2 * half <= n:
+            m = n - 2 * half + 1
+            take = val[half : half + m] > val[:m]
+            row = np.where(take, row[half : half + m], row[:m])
+            val = np.where(take, val[half : half + m], val[:m])
             rows.append(array("i", row.tobytes()))
-            span *= 2
+            half *= 2
         self.rows = rows
 
     def query(self, lo: int, hi: int) -> int:
@@ -295,8 +316,8 @@ class TextIndex:
             raise ValueError("cannot index an empty text")
         self.text = text
         codes, self.alphabet = _dense_codes(text.letters)
-        self.sa = suffix_array(text.letters)
-        sa = np.asarray(self.sa, np.int64)
+        self.sa = array("i", suffix_array(text.letters))
+        sa = np.frombuffer(self.sa, np.int32)
         self.isa = inverse_permutation(sa)
         self.pos_max = ArgRmq(self.sa)
         bwt = np.empty(len(sa) + 1, np.int64)

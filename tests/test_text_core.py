@@ -18,6 +18,7 @@ from ephemedit.text_core import (
     SaInterval,
     Text,
     TextIndex,
+    _dc3,
     inverse_permutation,
     lcp_array,
     suffix_array,
@@ -89,6 +90,17 @@ def test_suffix_array_on_adversarial_families(family, n):
     assert suffix_array(letters) == brute_sa(letters)
 
 
+@pytest.mark.parametrize("top", [2**21 - 2, 2**21 - 1, 2**21, 2**21 + 1, 2**40])
+def test_dc3_at_the_packing_limit(top):
+    # A triple packs into one int64 key while w = top + 1 is at most 2^21;
+    # past that, only the dense pair ranking orders the triples right.
+    rng = random.Random(top)
+    for n in (1, 2, 3, 4, 5, 29, 30, 31, 200):
+        letters = [rng.choice((1, 2, top - 1, top)) for _ in range(n // 2)]
+        letters += letters[: n - len(letters)]  # a repeat, so DC3 recurses
+        assert _dc3(np.array(letters, np.int64)).tolist() == brute_sa(letters), n
+
+
 def test_inverse_permutation():
     assert inverse_permutation(EXAMPLE_SA)[16] == 0
     sa = suffix_array(list(b"mississippi"))
@@ -108,6 +120,22 @@ def test_text_validation():
     with pytest.raises(AlphabetError):
         Text([0, 0], sigma=257)  # max(2, 2)**8 == 256
     Text([0, 0], sigma=256)
+
+
+@pytest.mark.parametrize("letters", [["a"], [None], [1, "a"], [0, True]])
+def test_text_names_a_non_int_letter(letters):
+    # The letter types are checked before sigma is taken from max(letters).
+    with pytest.raises(AlphabetError, match="position"):
+        Text(letters)
+
+
+def test_text_accepts_int_subclasses():
+    class Letter(int):
+        pass
+
+    assert Text([Letter(2), 0]).sigma == 3
+    with pytest.raises(AlphabetError, match="position 0"):
+        Text([Letter(3), 0], sigma=3)
 
 
 @pytest.mark.parametrize("sigma", [2.5, 3.0, True, "3"])
@@ -212,7 +240,7 @@ def test_text_index_rejects_empty():
 def test_index_arrays_are_consistent():
     idx = TextIndex(Text(EXAMPLE))
     assert idx.n == 17
-    assert idx.sa == EXAMPLE_SA
+    assert list(idx.sa) == EXAMPLE_SA
     assert lcp_array(EXAMPLE, idx.sa) == EXAMPLE_LCP
     assert int(np.argmax(idx.pos_max.values)) == idx.isa[idx.n - 1]
 
