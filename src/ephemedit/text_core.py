@@ -320,7 +320,8 @@ class TextIndex:
         sa = np.frombuffer(self.sa, np.int32)
         self.isa = inverse_permutation(sa)
         self.pos_max = ArgRmq(self.sa)
-        bwt = np.empty(len(sa) + 1, np.int64)
+        # Codes on the narrowest dtype let numpy radix-sort them below.
+        bwt = np.empty(len(sa) + 1, np.min_scalar_type(len(self.alphabet)))
         bwt[0] = codes[-1]
         bwt[1:] = np.where(sa > 0, codes[sa - 1], 0)
         rows = np.argsort(bwt, kind="stable").astype(np.int32)

@@ -318,6 +318,27 @@ def test_suffix_intervals_on_adversarial_families(family, n):
     check_suffix_intervals(letters, sigma, patterns)
 
 
+@pytest.mark.parametrize("distinct", [255, 256, 65535, 65536])
+def test_suffix_intervals_at_rank_table_dtype_limits(distinct):
+    # The rank table stores letter codes 1..distinct on the narrowest
+    # unsigned dtype, so these sizes sit on either side of 8 and 16 bits.
+    # Letters are spread out (3c + 1) so that codes differ from letters.
+    rng = random.Random(f"dtype/{distinct}")
+    perm = [3 * c + 1 for c in rng.sample(range(distinct), distinct)]
+    letters = perm + perm[: distinct // 2]
+    n = len(letters)
+    top = letters.index(3 * distinct - 2)
+    bottom = letters.index(1)
+    cuts = [letters[max(0, j - 3) : j + 4] for j in (top, bottom, n - 1)]
+    for m in (1, 2, 5):
+        j = rng.randrange(n - m + 1)
+        cuts.append(letters[j : j + m])
+    patterns = [*cuts, cuts[0][:3] + [2] + cuts[0][3:], [3 * distinct + 1]]
+    idx = TextIndex(Text(letters, 3 * distinct + 2))
+    for pattern in patterns:
+        assert idx.suffix_intervals(pattern) == scanned_intervals(letters, idx.sa, pattern), pattern
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.lists(st.integers(0, 2), min_size=1, max_size=30),
