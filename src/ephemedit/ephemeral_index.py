@@ -19,9 +19,13 @@ start in L and reach past it lie in P[:a]·P[m-bm:], where a, the longest
 pattern prefix ending L, comes from a predecessor lookup on the reversed
 index, and bm, the longest pattern suffix starting M·R, from the forward
 one for deletes, else from the block's context group, falling back to a
-reversed KMP scan of the block. Matches that start in M and end in R lie
-in the window of the longest pattern prefix ending M and the longest
-pattern suffix starting R.
+reversed KMP scan of the block. Groups are keyed by words of up to the
+pattern's key length, the least length at which its context words are
+distinct: a longer block looks up its last key-length letters, whose
+group has one member, and keeps it only if the pattern spells the whole
+block there. Matches that start in M and end in R lie in the window of
+the longest pattern prefix ending M and the longest pattern suffix
+starting R.
 """
 
 from __future__ import annotations
@@ -68,9 +72,12 @@ class PatternHandle:
     Holds the pattern's junction tables: its prefix-suffix index, the
     disjoint decorated intervals of its suffixes over the forward and
     reversed text (as predecessor sets), and the context groups of every
-    word of length up to epsilon. `groups` maps a word to its group id
-    gid, and `group_set` is one predecessor set over all groups, group gid
-    holding its ranks r as keys gid * n + r. Stateless at query time.
+    word of length up to `key_len`, the least length up to epsilon at
+    which the pattern's context words are distinct. `groups` maps a word
+    to its group id gid, and `group_set` is one predecessor set over all
+    groups, group gid holding its ranks r as keys gid * n + r. `word` is
+    the pattern as a tuple, against which `group_cover` checks longer
+    blocks. Stateless at query time.
     """
 
     __slots__ = (
@@ -86,6 +93,8 @@ class PatternHandle:
         "main_rev",
         "groups",
         "group_set",
+        "key_len",
+        "word",
         "tree_fwd",
         "tree_rev",
     )
@@ -106,7 +115,8 @@ class PatternHandle:
         suf_fwd = eti.fwd.suffix_intervals(pat)
         self.tree_fwd = build_tree_p(pat, suf_fwd)
         self.main_fwd = PredSet(decompose_disjoint(self.tree_fwd), n)
-        self.groups, *rows = context_group_rows(pat, suf_fwd, epsilon, n)
+        self.word = tuple(pat)
+        self.key_len, self.groups, *rows = context_group_rows(pat, suf_fwd, epsilon, n)
         self.group_set = PredSet(zip(*rows), max(1, len(self.groups)) * n)
         rev_pat = pat[::-1]
         self.rev_pattern = rev_pat
@@ -140,6 +150,25 @@ def _right_arm(ph: PatternHandle, rp: int) -> int:
     """Longest pattern suffix that is a prefix of the text from rp on."""
     cov = ph.main_fwd.cover(ph.eti.fwd.isa[rp])
     return 0 if cov is None else ph.m - cov.suffix_start
+
+
+def group_cover(ph: PatternHandle, block: tuple[int, ...], rank: int, n: int):
+    """The piece of the block's context group covering text rank ``rank``:
+    it names the longest pattern suffix preceded in the pattern by
+    ``block`` that prefixes the text suffix of that rank, or None when
+    no such suffix does. ``n`` is the text's length."""
+    gid = ph.groups.get(block[-ph.key_len :])
+    if gid is None:
+        return None
+    cov = ph.group_set.cover(gid * n + rank)
+    blen = len(block)
+    if cov is None or blen <= ph.key_len:
+        return cov
+    # A group keyed by key_len letters has a single member, so the block's
+    # group is that member or empty. A member i < blen leaves a slice
+    # shorter than the block, which never equals it.
+    i = cov.suffix_start
+    return cov if ph.word[i - blen : i] == block else None
 
 
 def _kmp_scan(pat: list[int], borders: list[int], block) -> tuple[list[int], int]:
@@ -220,8 +249,7 @@ def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:
         if not blen:
             bm = _right_arm(ph, rp) if rp < n else 0
         else:
-            gid = ph.groups.get(block) if rp < n else None
-            cov = None if gid is None else ph.group_set.cover(gid * n + eti.fwd.isa[rp])
+            cov = group_cover(ph, block, eti.fwd.isa[rp], n) if rp < n else None
             if cov is not None:
                 bm = blen + m - cov.suffix_start
             else:

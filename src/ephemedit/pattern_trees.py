@@ -17,9 +17,10 @@ the tree. Context groups flatten per context: only suffixes immediately
 preceded in the pattern by a given short word take part, which is what
 queries about an inserted block need. `build_context_groups` returns them
 as one entry list per word. `context_group_rows`, which the index uses,
-shifts group gid's ranks by gid * n so that all groups form one laminar
-family, and gets every group's pieces from one numpy sort and one pass,
-as three integer columns.
+keys only the words up to the pattern's key length, past which every
+group has a single member; it shifts group gid's ranks by gid * n so
+that all groups form one laminar family, and gets every group's pieces
+from one numpy sort and one pass, as three integer columns.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ def build_context_groups(
     let the covering piece name the longest member suffix that prefixes a
     rank's text suffix. Only occurring suffixes take part, and only
     nonempty ones, so groups never decorate every rank. This is the
-    reference for `context_group_rows`, which packs the same pieces.
+    reference for `context_group_rows`, which packs the same pieces for
+    the words of up to its key length.
     """
     pat = [int(c) for c in pattern]
     m = len(pat)
@@ -190,16 +192,21 @@ def build_context_groups(
 
 def context_group_rows(
     pattern: list[int], suf_interval: list[SaInterval], max_len: int, n: int
-) -> tuple[dict[tuple[int, ...], int], list[int], list[int], list[int]]:
-    """Every context group's pieces, packed into one sorted family.
+) -> tuple[int, dict[tuple[int, ...], int], list[int], list[int], list[int]]:
+    """Context groups up to the key length, packed into one sorted family.
 
-    Returns (groups, starts, ends, suffix starts). `groups` maps each
-    context word to its group id gid, numbered as `build_context_groups`
-    orders its words, and group gid's pieces are the rows whose ranks r
-    sit at gid * n + r. Ranks are below n, so members of different groups
-    never overlap: the shifted members of all groups still form one
-    laminar family, and a single sort and flatten pass gives every
-    group's pieces at once.
+    Returns (key_len, groups, starts, ends, suffix starts). key_len is the
+    least length up to max_len at which the context words are pairwise
+    distinct, or max_len when there is none. Distinct words stay distinct
+    when extended, so every group of a word of key_len letters or more
+    has a single member, and a longer word's group is at most the member
+    of its last key_len letters; only words of up to key_len letters get
+    a group. `groups` maps each of them to its group id gid, numbered as
+    `build_context_groups` orders its words, and group gid's pieces are
+    the rows whose ranks r sit at gid * n + r. Ranks are below n, so
+    members of different groups never overlap: the shifted members of all
+    groups still form one laminar family, and a single sort and flatten
+    pass gives every group's pieces at once.
     """
     m = len(pattern)
     if len(suf_interval) != m:
@@ -209,11 +216,16 @@ def context_group_rows(
     groups: dict[tuple[int, ...], int] = {}
     gids: list[int] = []
     members: list[int] = []
+    key_len = max_len
     for length in range(1, max_len + 1):
+        repeats = len(gids) - len(groups)
         for i in occurring:
             if i >= length:
                 gids.append(groups.setdefault(word[i - length : i], len(groups)))
                 members.append(i)
+        if len(gids) - len(groups) == repeats:
+            key_len = length
+            break
     lo = np.fromiter((iv.lo for iv in suf_interval), np.int64, m)
     hi = np.fromiter((iv.hi for iv in suf_interval), np.int64, m)
     sfx = np.array(members, dtype=np.int64)
@@ -224,4 +236,4 @@ def context_group_rows(
     starts, ends, suffix_starts = _flatten_longest(
         start[order].tolist(), end[order].tolist(), sfx[order].tolist()
     )
-    return groups, starts, ends, suffix_starts
+    return key_len, groups, starts, ends, suffix_starts

@@ -17,6 +17,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 
+import numpy as np
+
 from .prefix_suffix import PrefSufIndex
 from .text_core import Text, pattern_letters
 
@@ -80,8 +82,8 @@ class BlockDeleteMatcher:
         for t in self.psi.query(a, b):
             if a - m < t < a + width:
                 out.append(ell - a + t)
-        shift = ell + width - rp
-        out.extend([s + shift for s in starts[bisect_left(starts, rp) :]])
+        right = np.frombuffer(starts, np.int32)[bisect_left(starts, rp) :]
+        out.extend((right + (ell + width - rp)).tolist())
         return out
 
     def occurrences_after_delete(self, first: int, last: int) -> list[int]:

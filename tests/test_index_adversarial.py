@@ -1,13 +1,20 @@
 """The general engine on adversarial text families at n in [300, 2000]
-against the reference oracle, and the packed context-group set against one
+against the reference oracle, and the context-group lookup against one
 predecessor set per group and against a brute-force scan of the text."""
 
+import itertools
 import random
 
 import pytest
 
 from ephemedit.edits import Delete, Insert, Substitute
-from ephemedit.ephemeral_index import occurrence_classes, preprocess_pattern, preprocess_text
+from ephemedit.ephemeral_index import (
+    group_cover,
+    occurrence_classes,
+    occurrences_after,
+    preprocess_pattern,
+    preprocess_text,
+)
 from ephemedit.pattern_trees import build_context_groups
 from ephemedit.predecessor_sets import PredSet
 from ephemedit.reference_oracle import naive_search, occurrences_after_oracle
@@ -127,8 +134,40 @@ def test_classes_follow_match_ends(family):
     assert seam_ends > 0
 
 
+def assert_key_len(ph, pattern, occurring):
+    """key_len is the least length up to epsilon at which the context
+    words, the letters before each occurring suffix, are pairwise
+    distinct, or epsilon when there is none."""
+
+    def distinct(length):
+        words = [tuple(pattern[i - length : i]) for i in occurring if i >= length]
+        return len(set(words)) == len(words)
+
+    assert 0 <= ph.key_len <= ph.epsilon
+    assert not any(distinct(length) for length in range(1, ph.key_len)), ph.key_len
+    assert ph.key_len == ph.epsilon or distinct(ph.key_len), ph.key_len
+
+
+def absent_words(rng, words, sigma, epsilon, count=12):
+    """Words of up to epsilon letters that are not context words: random
+    ones, and context words with their first letter changed, which keep
+    all other letters of a known word."""
+    out = set()
+    for word in sorted(words)[:count]:
+        for c in range(sigma):
+            if c != word[0] and (c,) + word[1:] not in words:
+                out.add((c,) + word[1:])
+                break
+    for _ in range(count):
+        word = tuple(rng.randrange(sigma) for _ in range(rng.randint(1, max(1, epsilon))))
+        if word not in words:
+            out.add(word)
+    return out
+
+
 def test_packed_groups_match_one_set_per_group():
     rng = random.Random(23)
+    long_lookups = 0
     for _ in range(150):
         sigma = rng.choice([1, 2, 3, 5])
         n = rng.randint(1, 40)
@@ -144,27 +183,31 @@ def test_packed_groups_match_one_set_per_group():
         ph = preprocess_pattern(eti, pattern, epsilon)
         ms = matching_statistics(build_suffix_tree(eti.text), pattern)
         groups = build_context_groups(pattern, ms, epsilon)
-        assert set(ph.groups) == set(groups)
-        for word, entries in groups.items():
-            gid = ph.groups[word]
-            base = gid * n
-            own = PredSet(entries, n)
+        occurring = [i for i in range(m) if not ms.suf_interval[i].is_empty]
+        assert_key_len(ph, pattern, occurring)
+        assert set(ph.groups) == {word for word in groups if len(word) <= ph.key_len}
+        for word in set(groups) | absent_words(rng, set(groups), sigma, epsilon):
+            own = PredSet(groups.get(word, []), n)
+            base = ph.groups.get(word[-ph.key_len :], 0) * n
+            long_lookups += len(word) > ph.key_len
             # Ranks 0 and n - 1 sit next to the neighbouring groups' keys.
             for r in range(n):
-                cov = ph.group_set.cover(base + r)
+                cov = group_cover(ph, word, r, n)
                 want = own.cover(r)
                 if want is None:
                     assert cov is None, (text, pattern, word, r)
                 else:
                     assert (cov.start - base, cov.end - base, cov.suffix_start) == want, (text, pattern, word, r)
+    assert long_lookups > 0
 
 
 @pytest.mark.parametrize("family", ["fibonacci", "periodic-noise", "square", "unary"])
 def test_group_set_names_longest_member_suffix(family):
-    """Checks the packed group set from first principles: for every word W
-    it knows and every rank r, the piece covering gid(W) * n + r names the
-    longest pattern suffix preceded in the pattern by W that prefixes the
-    text suffix of rank r, and there is no piece when no such suffix does."""
+    """Checks the group lookup from first principles: for every context
+    word W of up to epsilon letters, every absent word, and every rank r,
+    `group_cover` names the longest pattern suffix preceded in the pattern
+    by W that prefixes the text suffix of rank r, and nothing when no such
+    suffix does."""
     rng = random.Random(f"group-set/{family}")
     text = {
         "fibonacci": lambda: fibonacci_word(377),
@@ -182,21 +225,88 @@ def test_group_set_names_longest_member_suffix(family):
         prefixes = [
             [text[sa[r] : sa[r] + m - i] == pattern[i:] for i in range(m)] for r in range(n)
         ]
+        occurring = [i for i in range(m) if any(row[i] for row in prefixes)]
         for epsilon in (1, 4, 8):
             ph = preprocess_pattern(eti, pattern, epsilon)
+            assert_key_len(ph, pattern, occurring)
             words = {
                 tuple(pattern[i - k : i])
                 for k in range(1, epsilon + 1)
-                for i in range(k, m)
-                if any(row[i] for row in prefixes)
+                for i in occurring
+                if i >= k
             }
-            assert set(ph.groups) == words, (family, m, epsilon)
-            assert sorted(ph.groups.values()) == list(range(len(words)))
-            for word, gid in ph.groups.items():
+            assert set(ph.groups) == {word for word in words if len(word) <= ph.key_len}
+            assert sorted(ph.groups.values()) == list(range(len(ph.groups)))
+            for word in words | absent_words(rng, words, sigma, epsilon):
                 k = len(word)
                 members = [i for i in range(k, m) if tuple(pattern[i - k : i]) == word]
                 for r in range(n):
                     want = next((i for i in members if prefixes[r][i]), None)
-                    cov = ph.group_set.cover(gid * n + r)
+                    cov = group_cover(ph, word, r, n)
                     got = None if cov is None else cov.suffix_start
                     assert got == want, (family, m, epsilon, word, r)
+
+
+def test_blocks_longer_than_the_key_length():
+    """Blocks longer than key_len reach their group through their last
+    key_len letters and keep its single member only if the pattern spells
+    the whole block before it. Each block is written over an occurrence,
+    so that a wrongly kept or wrongly dropped member changes the answer:
+    context words, words that share only the last key_len letters with
+    one, and words longer than the member's position.
+
+    The pattern holds the word U + S twice, after the letters 0 and 1, so
+    key_len is |U| + |S|. In the text, one occurrence is followed by what
+    follows the first U + S in the pattern. There, each member inside the
+    last S has the same key_len - 1 letters before it as its twin inside
+    the first S, whose longer suffix prefixes the same text, so a lookup
+    on key_len - 1 letters names the twin."""
+    rng = random.Random("long-blocks")
+    sigma, epsilon = 4, 16
+
+    def letters(k):
+        return [rng.randrange(sigma) for _ in range(k)]
+
+    u, tail = letters(4), letters(3)
+    pattern = letters(14) + [0] + u + tail + letters(10) + [1] + u + tail
+    m = len(pattern)
+    echo = pattern[15 + len(u) + len(tail) :]
+    text = letters(150) + pattern + echo + letters(150) + pattern + letters(100)
+    eti = preprocess_text(Text(text, sigma))
+    ph = preprocess_pattern(eti, pattern, epsilon)
+    k = ph.key_len
+    assert k == len(u) + len(tail)
+    kept = 0
+    for s in naive_search(text, pattern):
+        for i in range(k, m):
+            for blen in range(k + 1, epsilon + 1):
+                word = tuple(pattern[max(0, i - blen) : i])
+                if i >= blen:
+                    changed = (word[0] + 1) % sigma
+                    blocks = [word, (changed,) + word[1:]]
+                else:
+                    blocks = [tuple(letters(blen - i)) + word]
+                at = s + i - blen
+                for block in blocks:
+                    ops = [Insert(after=s + i - 1, block=block)]
+                    if at >= 0:
+                        ops.append(Substitute(at=at, block=block))
+                    for op in ops:
+                        got = occurrences_after(ph, op)
+                        assert got == occurrences_after_oracle(text, pattern, op), (op, i)
+                        kept += group_cover(ph, block, eti.fwd.isa[s + i], len(text)) is not None
+    assert kept > 0
+
+
+def test_group_keys_stop_at_the_key_length():
+    """On Zipf-like tokens almost every word of a few tokens is unique in
+    the pattern, so groups stop at a small key_len, not at epsilon."""
+    rng = random.Random("zipf-keys")
+    vocab = 5000
+    cum = list(itertools.accumulate(1.0 / (r + 1) for r in range(vocab)))
+    text = rng.choices(range(vocab), cum_weights=cum, k=4096)
+    m, epsilon = 1024, 32
+    pattern = text[1000 : 1000 + m]
+    ph = preprocess_pattern(preprocess_text(Text(text, vocab)), pattern, epsilon)
+    assert ph.key_len < epsilon // 4
+    assert len(ph.groups) <= ph.key_len * m
