@@ -11,7 +11,6 @@ from .ephemeral_index import (
     PatternHandle,
     occurrence_classes,
     occurrences_after,
-    occurrences_after_unsorted,
     preprocess_pattern,
     preprocess_text,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "edited_length",
     "occurrence_classes",
     "occurrences_after",
-    "occurrences_after_unsorted",
     "preprocess_pattern",
     "preprocess_text",
     "validate_edit",

@@ -1,38 +1,44 @@
 """Pattern occurrences under a single provisional edit of an indexed text.
 
 `preprocess_text` indexes a text once, forward and reversed: a suffix
-array, its inverse, a range-max table and a rank table over the
-Burrows-Wheeler transform per direction, and no suffix tree.
-`preprocess_pattern` then prepares one pattern against that index, reading
-the suffix-array interval of each pattern suffix off backward search, and
-`occurrences_after` answers, for any single insert, delete, or substitute,
-where the pattern would occur in the edited text. Nothing is materialized
-and nothing is mutated, so edits can be queried in any order.
+array, its inverse and a rank table over the Burrows-Wheeler transform
+per direction. `preprocess_pattern` then prepares one pattern against
+that index, reading the suffix-array interval of each pattern suffix off
+backward search and sorting its occ starts in the text, in O(occ log occ)
+time and 4 bytes each, so a pattern takes O(m) space only while
+occ = O(m). `occurrences_after` answers, for any single insert, delete,
+or substitute, where the pattern would occur in the edited text. Nothing
+is mutated, so edits can be queried in any order.
 
 An edit splits the text into a left part L, a block M (empty for deletes),
-and a right part R. Occurrences inside L and inside R are the pattern's
-starts walked on the reversed and forward suffix arrays; those inside M
-come from a Knuth-Morris-Pratt scan of the block. The three classes that
-touch a seam take two windows, each a pattern prefix glued to a pattern
-suffix and answered by `prefix_suffix` as one progression. Matches that
-start in L and reach past it lie in P[:a]·P[m-bm:], where a, the longest
-pattern prefix ending L, comes from a predecessor lookup on the reversed
-index, and bm, the longest pattern suffix starting M·R, from the forward
-one for deletes, else from the block's context group, falling back to a
-reversed KMP scan of the block. Groups are keyed by words of up to the
-pattern's key length, the least length at which its context words are
-distinct: a longer block looks up its last key-length letters, whose
-group has one member, and keeps it only if the pattern spells the whole
-block there. Matches that start in M and end in R lie in the window of
-the longest pattern prefix ending M and the longest pattern suffix
-starting R.
+and a right part R. Occurrences inside L and inside R are two bisect
+slices of the sorted starts, joined in text order, with no sort, by the
+block-delete matcher's `splice`; those inside M come from a KMP scan of
+the block. The three classes that touch a seam take two windows, each a
+pattern prefix glued to a pattern suffix and answered by `prefix_suffix`
+as one progression. Matches that start in L and reach past it lie in
+P[:a]·P[m-bm:], where a, the longest pattern prefix ending L, comes from
+a predecessor lookup on the reversed index, and bm, the longest pattern
+suffix starting M·R, from the forward one for deletes, else from the
+block's context group, falling back to a reversed KMP scan of the block.
+Groups are keyed by words of up to the pattern's key length, the least
+length at which its context words are distinct: a longer block looks up
+its last key-length letters, whose group has one member, and keeps it
+only if the pattern spells the whole block there. Matches that start in
+M and end in R lie in the window of the longest pattern prefix ending M
+and the longest pattern suffix starting R.
 """
 
 from __future__ import annotations
 
+from array import array
+
+import numpy as np
+
 from .edits import Delete, EditOp, Insert, Substitute, validate_edit
 from .pattern_trees import build_tree_p, context_group_rows, decompose_disjoint
 from .predecessor_sets import PredSet
+from .pm_block_delete import splice
 from .prefix_suffix import PrefSufIndex
 # Read by perfbench only; ROADMAP direction 1 removes it.
 from .suffix_tree import matching_statistics  # noqa: F401
@@ -77,7 +83,8 @@ class PatternHandle:
     to its group id gid, and `group_set` is one predecessor set over all
     groups, group gid holding its ranks r as keys gid * n + r. `word` is
     the pattern as a tuple, against which `group_cover` checks longer
-    blocks. Stateless at query time.
+    blocks. `idx` holds the pattern's starts in the text, sorted, 4 bytes
+    each. Stateless at query time.
     """
 
     __slots__ = (
@@ -87,8 +94,7 @@ class PatternHandle:
         "m",
         "epsilon",
         "psi",
-        "interval",
-        "rev_interval",
+        "idx",
         "main_fwd",
         "main_rev",
         "groups",
@@ -123,8 +129,9 @@ class PatternHandle:
         suf_rev = eti.rev.suffix_intervals(rev_pat)
         self.tree_rev = build_tree_p(rev_pat, suf_rev)
         self.main_rev = PredSet(decompose_disjoint(self.tree_rev), n)
-        self.interval = suf_fwd[0]
-        self.rev_interval = suf_rev[0]
+        occ = suf_fwd[0]
+        starts = np.frombuffer(eti.fwd.sa, np.int32)[occ.lo : occ.hi + 1]
+        self.idx = array("i", np.sort(starts).tobytes())
 
 
 def preprocess_pattern(eti: EphemeralTextIndex, pattern, epsilon: int) -> PatternHandle:
@@ -191,20 +198,13 @@ def _kmp_scan(pat: list[int], borders: list[int], block) -> tuple[list[int], int
     return out, k
 
 
-def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:
-    """Occurrences after the edit, split by class.
+def occurrences_after(ph: PatternHandle, op: EditOp) -> list[int]:
+    """Sorted start positions of the pattern in the text after ``op``.
 
-    Keys: "left" and "right" for matches untouched by the edit, "block"
-    for matches inside the inserted block, "left_block" for matches
-    starting in L and ending in the block, "block_right" starting in the
-    block and ending in R, and "cross" for matches starting in L and
-    ending in R. Positions refer to the edited text. The classes are
-    pairwise disjoint by construction.
-
-    One prefix-suffix window around the end of L answers "left_block" and
-    "cross", split by where each match ends; a second window around the
-    start of R answers "block_right". Each arm is computed only when a
-    window reads it, so a delete costs one window and one lookup per arm.
+    The window around the end of L, the block's matches and the window
+    around the start of R come in text order between L's starts and R's.
+    Each arm is computed only when a window reads it, so a delete costs
+    one window and one lookup per arm.
     """
     eti = ph.eti
     n = eti.n
@@ -218,28 +218,8 @@ def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:
         )
     ell, rp, block = _regions(op, n)
     blen = len(block)
-    out: dict[str, list[int]] = {
-        "left": [],
-        "right": [],
-        "cross": [],
-        "left_block": [],
-        "block_right": [],
-        "block": [],
-    }
-
-    # A start s <= ell - m is a start n - m - s >= n - ell of the reversed
-    # pattern in the reversed text.
-    if ell >= m:
-        out["left"] = [n - m - s for s in eti.rev.report_starts(ph.rev_interval, n - ell)]
-    if rp <= n - m:
-        shift = ell + blen - rp
-        out["right"] = [x + shift for x in eti.fwd.report_starts(ph.interval, rp)]
-
     psi = ph.psi
-    u = 0
-    if blen:
-        starts, u = _kmp_scan(pat, psi.f, block)
-        out["block"] = [ell + t for t in starts]
+    seam: list[int] = []
 
     # Matches that start in L and reach past it lie in P[:a] + (M + R)[:bm].
     # bm exceeds |M| exactly when a suffix in the block's context group
@@ -256,28 +236,46 @@ def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:
                 bm = _kmp_scan(ph.rev_pattern, psi.g, block[::-1])[1]
         # A window shorter than the pattern holds no match.
         if a + bm >= m:
-            end = a + blen
             for t in psi.query(a, bm):
                 if a - m < t < a:
-                    (out["cross"] if t + m > end else out["left_block"]).append(ell - a + t)
+                    seam.append(ell - a + t)
 
-    if u > 0 and rp < n:
-        for t in psi.query(u, _right_arm(ph, rp)):
-            if u - m < t < u:
-                out["block_right"].append(ell + blen - u + t)
+    if blen:
+        starts, u = _kmp_scan(pat, psi.f, block)
+        for t in starts:
+            seam.append(ell + t)
+        if u > 0 and rp < n:
+            for t in psi.query(u, _right_arm(ph, rp)):
+                if u - m < t < u:
+                    seam.append(ell + blen - u + t)
+    return splice(ph.idx, m, ell, rp, ell + blen - rp, seam)
+
+
+def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:
+    """Occurrences after the edit, split by class.
+
+    Keys: "left" and "right" for matches untouched by the edit, "block"
+    for matches inside the inserted block, "left_block" for matches
+    starting in L and ending in the block, "block_right" starting in the
+    block and ending in R, and "cross" for matches starting in L and
+    ending in R. Positions refer to the edited text. Each start of
+    `occurrences_after` is labelled by where it and its match's end lie
+    against the ends of L and of the block.
+    """
+    starts = occurrences_after(ph, op)
+    ell, _, block = _regions(op, ph.eti.n)
+    r = ell + len(block)
+    m = ph.m
+    out: dict[str, list[int]] = {
+        k: [] for k in ("left", "right", "cross", "left_block", "block_right", "block")
+    }
+    for s in starts:
+        e = s + m  # one past the match's last letter
+        if s < ell:
+            key = "left" if e <= ell else "left_block" if e <= r else "cross"
+        elif s < r:
+            key = "block" if e <= r else "block_right"
+        else:
+            key = "right"
+        out[key].append(s)
     return out
-
-
-def occurrences_after_unsorted(ph: PatternHandle, op: EditOp) -> list[int]:
-    """Start positions of the pattern in the edited text, duplicate-free
-    but in no particular order."""
-    classes = occurrence_classes(ph, op)
-    out = classes["left"]
-    for key in ("right", "cross", "left_block", "block_right", "block"):
-        out.extend(classes[key])
-    return out
-
-
-def occurrences_after(ph: PatternHandle, op: EditOp) -> list[int]:
-    """Sorted start positions of the pattern in the text after ``op``."""
-    return sorted(occurrences_after_unsorted(ph, op))

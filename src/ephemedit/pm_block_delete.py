@@ -9,7 +9,8 @@ A deletion [first, last] then splits the text into L and R. Occurrences
 inside L or R are two bisect slices of the starts; occurrences crossing
 the seam live inside the window made of the longest pattern prefix that
 ends L glued to the longest pattern suffix that starts R, which is a
-single prefix-suffix query.
+single prefix-suffix query. `splice` joins the slices and the seam's
+matches in text order; the general engine answers through it too.
 """
 
 from __future__ import annotations
@@ -21,6 +22,27 @@ import numpy as np
 
 from .prefix_suffix import PrefSufIndex
 from .text_core import Text, pattern_letters
+
+
+# Below this many starts in R a list comprehension shifts them faster
+# than numpy, whose call costs about 1.3 us whatever the size.
+_NUMPY_SHIFT = 64
+
+
+def splice(starts: array, m: int, ell: int, rp: int, shift: int, seam: list[int]) -> list[int]:
+    """Sorted pattern starts after an edit keeping L = text[:ell] and
+    R = text[rp:], given the sorted unedited ``starts``, the ``shift``
+    from R's old positions to its new ones, and ``seam``: the sorted
+    matches that start after ell - m and before R. Every other match lies
+    in L, up to ell - m, or in R, from rp on."""
+    out = starts[: bisect_right(starts, ell - m)].tolist()
+    out += seam
+    j = bisect_left(starts, rp)
+    if len(starts) - j < _NUMPY_SHIFT:
+        out += [x + shift for x in starts[j:]]
+    else:
+        out += (np.frombuffer(starts, np.int32)[j:] + shift).tolist()
+    return out
 
 
 def _kmp_states(text: list[int], word: list[int], border: list[int]) -> array:
@@ -62,7 +84,8 @@ class BlockDeleteMatcher:
         self.psi = PrefSufIndex(pat)
         self.lpf = _kmp_states(t.letters, pat, self.psi.f)
         self.lsp = _kmp_states(t.letters[::-1], pat[::-1], self.psi.g)[::-1]
-        self.idx = array("i", [p - m + 1 for p, k in enumerate(self.lpf) if k == m])
+        ends = np.flatnonzero(np.frombuffer(self.lpf, np.int32) == m)
+        self.idx = array("i", (ends - (m - 1)).astype(np.int32).tobytes())
 
     def _delete_seam(self, first: int, last: int) -> tuple[int, int, int, int, int]:
         a = self.lpf[first - 1] if first else 0
@@ -77,14 +100,13 @@ class BlockDeleteMatcher:
         A seam match starts before the block or R and ends after L, so it
         falls strictly between the survivors of L and those of R.
         """
-        m, starts = self.m, self.idx
-        out = starts[: bisect_right(starts, ell - m)].tolist()
+        m = self.m
+        # A loop: a comprehension's own frame cost pm queries a few per cent.
+        seam = []
         for t in self.psi.query(a, b):
             if a - m < t < a + width:
-                out.append(ell - a + t)
-        right = np.frombuffer(starts, np.int32)[bisect_left(starts, rp) :]
-        out.extend((right + (ell + width - rp)).tolist())
-        return out
+                seam.append(ell - a + t)
+        return splice(self.idx, m, ell, rp, ell + width - rp, seam)
 
     def occurrences_after_delete(self, first: int, last: int) -> list[int]:
         """Sorted pattern starts in the text with [first, last] removed."""

@@ -1,10 +1,10 @@
 """Core text indexing: a suffix array by the DC3 (skew) algorithm in numpy,
-O(n log n) time with numpy's sorts, its inverse, a range-max table over
-suffix start positions, one-sided occurrence reporting over suffix array
-intervals, and a rank table over the Burrows-Wheeler transform whose
-backward search gives the suffix-array interval of every pattern suffix
-that occurs in the text. The LCP array is computed here too, for the
-suffix trees that the tests and demos build; the index builds none.
+O(n log n) time with numpy's sorts, its inverse, and a rank table over
+the Burrows-Wheeler transform whose backward search gives the
+suffix-array interval of every pattern suffix that occurs in the text.
+The LCP array is computed here too, for the suffix trees that the tests
+and demos build; the index builds none. `TextIndex` keeps no range-max
+table: a prepared pattern sorts the starts of its own interval instead.
 
 DC3 sorts letter triples as single packed int64 keys. A level whose keys
 could reach 2^63, which takes letters beyond 2^21, ranks its letters and
@@ -236,6 +236,9 @@ def lcp_array(letters, sa: list[int]) -> list[int]:
 class ArgRmq:
     """Sparse table answering range arg-max in O(1).
 
+    No library caller; perfbench's tracer wraps it by name; ROADMAP
+    direction 1 removes it.
+
     Keeps ``values`` as given and one ``array('i')`` of indices per
     doubling level, so a query reads plain ints. Ties resolve to the
     leftmost index. The build carries each level's winning values beside
@@ -295,9 +298,8 @@ EMPTY_INTERVAL = SaInterval(0, -1)
 
 
 class TextIndex:
-    """Suffix array, its inverse, a range-max table over suffix start
-    positions, and a rank table over the Burrows-Wheeler transform, for
-    one text.
+    """Suffix array, its inverse, and a rank table over the
+    Burrows-Wheeler transform, for one text.
 
     The rank table has one row per suffix, the empty one included: row 0
     is the empty suffix and row r + 1 the suffix of rank r. A row's BWT
@@ -309,7 +311,7 @@ class TextIndex:
     distinct letters.
     """
 
-    __slots__ = ("text", "sa", "isa", "pos_max", "alphabet", "bwt_rows", "bwt_start")
+    __slots__ = ("text", "sa", "isa", "alphabet", "bwt_rows", "bwt_start")
 
     def __init__(self, text: Text):
         if len(text) == 0:
@@ -319,7 +321,6 @@ class TextIndex:
         self.sa = array("i", suffix_array(text.letters))
         sa = np.frombuffer(self.sa, np.int32)
         self.isa = inverse_permutation(sa)
-        self.pos_max = ArgRmq(self.sa)
         # Codes on the narrowest dtype let numpy radix-sort them below.
         bwt = np.empty(len(sa) + 1, np.min_scalar_type(len(self.alphabet)))
         bwt[0] = codes[-1]
@@ -333,31 +334,10 @@ class TextIndex:
         return len(self.text)
 
     def report_starts(self, interval: SaInterval, lo: int) -> list[int]:
-        """All suffix start positions within ``interval`` that are at least
-        ``lo``, in no particular order.
-
-        Splits at the range maximum and drops any subrange whose maximum
-        is below ``lo``, so every range-max query either reports a start
-        or ends a branch: at most 2k + 1 queries for k starts.
-        """
-        out: list[int] = []
-        if interval.is_empty:
-            return out
-        sa = self.sa
-        pos_max = self.pos_max
-        stack = [(interval.lo, interval.hi)]
-        while stack:
-            l, r = stack.pop()
-            rmax = pos_max.query(l, r)
-            v = sa[rmax]
-            if v < lo:
-                continue
-            out.append(v)
-            if l < rmax:
-                stack.append((l, rmax - 1))
-            if rmax < r:
-                stack.append((rmax + 1, r))
-        return out
+        """The starts within ``interval`` that are at least ``lo``, by one
+        scan. No library caller; perfbench's tracer wraps it by name;
+        ROADMAP direction 1 removes it."""
+        return [p for p in self.sa[interval.lo : interval.hi + 1] if p >= lo]
 
     def suffix_intervals(self, pattern) -> list[SaInterval]:
         """The suffix-array interval of each suffix pattern[i:] that occurs

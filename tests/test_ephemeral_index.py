@@ -1,6 +1,7 @@
 """Occurrence reporting under one provisional block edit (the general engine)."""
 
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 
@@ -8,13 +9,12 @@ from ephemedit.edits import Delete, Insert, Substitute
 from ephemedit.ephemeral_index import (
     occurrence_classes,
     occurrences_after,
-    occurrences_after_unsorted,
     preprocess_pattern,
     preprocess_text,
 )
 from ephemedit.prefix_suffix import PrefSufIndex
 from ephemedit.reference_oracle import occurrences_after_oracle
-from ephemedit.text_core import AlphabetError, ArgRmq, Text
+from ephemedit.text_core import AlphabetError, Text
 
 EXAMPLE = list(b"ananabannabanaana")
 PATTERN = list(b"banana")
@@ -131,11 +131,6 @@ def test_classes_partition_the_answer(example_handle):
         assert sorted(flat) == occurrences_after(example_handle, op)
 
 
-def test_unsorted_variant_matches_sorted(example_handle):
-    op = Insert(11, b"na")
-    assert sorted(occurrences_after_unsorted(example_handle, op)) == [10]
-
-
 @pytest.mark.parametrize(
     "op",
     [
@@ -146,24 +141,23 @@ def test_unsorted_variant_matches_sorted(example_handle):
         Substitute(2993, (0, 0)),
     ],
 )
-def test_unedited_occurrences_cost_two_range_max_queries_each(monkeypatch, op):
-    """Reporting the matches inside L and inside R is output-sensitive on
-    both sides, also when one window is short and the other long."""
+def test_unedited_occurrences_are_slices_of_the_sorted_starts(op):
+    """The matches inside L are the sorted starts up to ell - m and those
+    inside R the starts from R's first position on, shifted, also when
+    one side is short and the other long."""
     eti = preprocess_text(Text([i % 3 for i in range(3000)], 3))
     ph = preprocess_pattern(eti, [0, 1, 2, 0, 1, 2], epsilon=2)
-    calls = 0
-    query = ArgRmq.query
-
-    def counted(self, lo, hi):
-        nonlocal calls
-        calls += 1
-        return query(self, lo, hi)
-
-    monkeypatch.setattr(ArgRmq, "query", counted)
+    m = ph.m
+    if isinstance(op, Delete):
+        ell, rp, blen = op.first, op.last + 1, 0
+    else:
+        ell = op.after + 1 if isinstance(op, Insert) else op.at
+        blen = len(op.block)
+        rp = ell if isinstance(op, Insert) else ell + blen
     by = occurrence_classes(ph, op)
-    monkeypatch.undo()
-    assert calls <= 2 * (len(by["left"]) + len(by["right"])) + 2
-    assert sorted(sum(by.values(), [])) == occurrences_after_oracle(eti.text.letters, ph.pattern, op)
+    assert by["left"] == list(ph.idx[: bisect_right(ph.idx, ell - m)])
+    assert by["right"] == [x + ell + blen - rp for x in ph.idx[bisect_left(ph.idx, rp) :]]
+    assert occurrences_after(ph, op) == occurrences_after_oracle(eti.text.letters, ph.pattern, op)
 
 
 @pytest.mark.parametrize(

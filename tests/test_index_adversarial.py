@@ -1,12 +1,14 @@
 """The general engine on adversarial text families at n in [300, 2000]
-against the reference oracle, and the context-group lookup against one
-predecessor set per group and against a brute-force scan of the text."""
+against the reference oracle, both engines' answers in text order with no
+sort, and the context-group lookup against one predecessor set per group
+and against a brute-force scan of the text."""
 
 import itertools
 import random
 
 import pytest
 
+from ephemedit import ephemeral_index, pm_block_delete
 from ephemedit.edits import Delete, Insert, Substitute
 from ephemedit.ephemeral_index import (
     group_cover,
@@ -16,6 +18,7 @@ from ephemedit.ephemeral_index import (
     preprocess_text,
 )
 from ephemedit.pattern_trees import build_context_groups
+from ephemedit.pm_ephemeral_edits import EditMatcher
 from ephemedit.predecessor_sets import PredSet
 from ephemedit.reference_oracle import naive_search, occurrences_after_oracle
 from ephemedit.suffix_tree import build_suffix_tree, matching_statistics
@@ -94,6 +97,52 @@ def test_edits_on_adversarial_texts(family):
             if not isinstance(op, Delete) and by["cross"]:
                 crossed += 1
     assert crossed > 0
+
+
+@pytest.fixture
+def no_sort(monkeypatch):
+    """Both engines' modules, with ``sorted`` raising."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the answer must come out in text order without a sort")
+
+    for module in (ephemeral_index, pm_block_delete):
+        monkeypatch.setattr(module, "sorted", refuse, raising=False)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_both_engines_answer_in_order_without_a_sort(family, no_sort):
+    rng = random.Random(f"no-sort/{family}")
+    text, sigma, epsilon = FAMILIES[family](rng)
+    tx = Text(text, sigma)
+    eti = preprocess_text(tx)
+    for pattern in patterns_for(rng, text, sigma):
+        ph = preprocess_pattern(eti, pattern, epsilon)
+        em = EditMatcher(tx, pattern)
+        for op in ops_for(rng, text, pattern, epsilon, sigma):
+            want = occurrences_after_oracle(text, pattern, op)
+            assert occurrences_after(ph, op) == want, (pattern, op)
+            if isinstance(op, Delete) or len(op.block) == 1:
+                assert em.occurrences_after_edit(op) == want, (pattern, op)
+
+
+@pytest.mark.parametrize("right", [63, 64, 65])
+def test_splice_shifts_few_and_many_right_starts(right, no_sort):
+    """Edits whose R holds 63, 64 and 65 starts, on both sides of the
+    splice's switch from a comprehension to numpy."""
+    n, pattern = 300, [0, 0, 0]
+    text = [0] * n
+    rp = n - len(pattern) + 1 - right  # R = text[rp:] holds `right` starts
+    tx = Text(text, 1)
+    ph = preprocess_pattern(preprocess_text(tx), pattern, 4)
+    em = EditMatcher(tx, pattern)
+    ops = [Delete(rp - 5, rp - 1), Delete(rp - 1, rp - 1), Insert(rp - 1, (0,)),
+           Substitute(rp - 1, (0,)), Insert(rp - 1, (0, 0, 0, 0)), Substitute(rp - 2, (0, 0))]
+    for op in ops:
+        want = occurrences_after_oracle(text, pattern, op)
+        assert occurrences_after(ph, op) == want, op
+        if isinstance(op, Delete) or len(op.block) == 1:
+            assert em.occurrences_after_edit(op) == want, op
 
 
 def _class_of(start: int, end: int, ell: int, blen: int) -> str:
