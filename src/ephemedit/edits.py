@@ -103,9 +103,11 @@ def validate_edit(op: EditOp, n: int, sigma: int | None = None) -> None:
 
 
 def _check_block(block: tuple[int, ...], sigma: int | None) -> None:
-    if sigma is not None:
+    """``block`` is non-empty and, by `_as_block`, holds non-negative ints,
+    so one ``max`` tests it; the loop only names the bad letter."""
+    if sigma is not None and max(block) >= sigma:
         for a in block:
-            if not 0 <= a < sigma:
+            if a >= sigma:
                 raise ValueError(f"block letter {a} outside [0, {sigma})")
 
 

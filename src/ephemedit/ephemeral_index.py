@@ -5,8 +5,9 @@ array, its inverse and a rank table over the Burrows-Wheeler transform
 per direction. `preprocess_pattern` then prepares one pattern against
 that index, reading the suffix-array interval of each pattern suffix off
 backward search and sorting its occ starts in the text, in O(occ log occ)
-time and 4 bytes each, so a pattern takes O(m) space only while
-occ = O(m). `occurrences_after` answers, for any single insert, delete,
+time. The starts are kept as a list of ints, boxed once at setup, and as
+an int32 array: about 40 bytes each, so a pattern takes O(m) space only
+while occ = O(m). `occurrences_after` answers, for any single insert, delete,
 or substitute, where the pattern would occur in the edited text. Nothing
 is mutated, so edits can be queried in any order.
 
@@ -31,8 +32,6 @@ and the longest pattern suffix starting R.
 
 from __future__ import annotations
 
-from array import array
-
 import numpy as np
 
 from .edits import Delete, EditOp, Insert, Substitute, validate_edit
@@ -48,22 +47,16 @@ from .text_core import Text, TextIndex, pattern_letters
 class EphemeralTextIndex:
     """Forward and reversed text indexes over one immutable text."""
 
-    __slots__ = ("text", "fwd", "rev", "st_fwd", "st_rev")
+    __slots__ = ("text", "n", "sigma", "fwd", "rev", "st_fwd", "st_rev")
 
     def __init__(self, text: Text):
         self.text = text
+        self.n = len(text)
+        self.sigma = text.sigma
         self.fwd = TextIndex(text)
         self.rev = TextIndex(text.reversed())
         self.st_fwd = None  # read by perfbench; ROADMAP direction 1 removes it
         self.st_rev = None  # read by perfbench; ROADMAP direction 1 removes it
-
-    @property
-    def n(self) -> int:
-        return len(self.text)
-
-    @property
-    def sigma(self) -> int:
-        return self.text.sigma
 
 
 def preprocess_text(text, sigma: int | None = None) -> EphemeralTextIndex:
@@ -83,8 +76,9 @@ class PatternHandle:
     to its group id gid, and `group_set` is one predecessor set over all
     groups, group gid holding its ranks r as keys gid * n + r. `word` is
     the pattern as a tuple, against which `group_cover` checks longer
-    blocks. `idx` holds the pattern's starts in the text, sorted, 4 bytes
-    each. Stateless at query time.
+    blocks. `idx` holds the pattern's starts in the text, sorted, as a list
+    of ints, and `idx_np` the same starts as an int32 array: about 40 bytes
+    per occurrence. Stateless at query time.
     """
 
     __slots__ = (
@@ -95,6 +89,7 @@ class PatternHandle:
         "epsilon",
         "psi",
         "idx",
+        "idx_np",
         "main_fwd",
         "main_rev",
         "groups",
@@ -131,7 +126,8 @@ class PatternHandle:
         self.main_rev = PredSet(decompose_disjoint(self.tree_rev), n)
         occ = suf_fwd[0]
         starts = np.frombuffer(eti.fwd.sa, np.int32)[occ.lo : occ.hi + 1]
-        self.idx = array("i", np.sort(starts).tobytes())
+        self.idx_np = np.sort(starts)
+        self.idx = self.idx_np.tolist()
 
 
 def preprocess_pattern(eti: EphemeralTextIndex, pattern, epsilon: int) -> PatternHandle:
@@ -147,9 +143,10 @@ def _regions(op: EditOp, n: int) -> tuple[int, int, tuple[int, ...]]:
     return op.at, op.at + len(op.block), op.block
 
 
-def _left_arm(ph: PatternHandle, ell: int) -> int:
-    """Longest pattern prefix that is a suffix of the text's first ell letters."""
-    cov = ph.main_rev.cover(ph.eti.rev.isa[ph.eti.n - ell])
+def _left_arm(ph: PatternHandle, ell: int, n: int) -> int:
+    """Longest pattern prefix that is a suffix of the text's first ell
+    letters; ``n`` is the text's length."""
+    cov = ph.main_rev.cover(ph.eti.rev.isa[n - ell])
     return 0 if cov is None else ph.m - cov.suffix_start
 
 
@@ -224,7 +221,7 @@ def occurrences_after(ph: PatternHandle, op: EditOp) -> list[int]:
     # Matches that start in L and reach past it lie in P[:a] + (M + R)[:bm].
     # bm exceeds |M| exactly when a suffix in the block's context group
     # prefixes R; otherwise it is the longest pattern suffix prefixing M.
-    a = _left_arm(ph, ell) if ell > 0 else 0
+    a = _left_arm(ph, ell, n) if ell > 0 else 0
     if a > 0:
         if not blen:
             bm = _right_arm(ph, rp) if rp < n else 0
@@ -248,7 +245,7 @@ def occurrences_after(ph: PatternHandle, op: EditOp) -> list[int]:
             for t in psi.query(u, _right_arm(ph, rp)):
                 if u - m < t < u:
                     seam.append(ell + blen - u + t)
-    return splice(ph.idx, m, ell, rp, ell + blen - rp, seam)
+    return splice(ph.idx, ph.idx_np, m, ell, rp, ell + blen - rp, seam)
 
 
 def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:

@@ -11,6 +11,12 @@ the seam live inside the window made of the longest pattern prefix that
 ends L glued to the longest pattern suffix that starts R, which is a
 single prefix-suffix query. `splice` joins the slices and the seam's
 matches in text order; the general engine answers through it too.
+
+Both engines keep the starts twice: boxed once at setup as a list of ints,
+which `splice` slices without boxing anything, and as an int32 array, which
+shifts a long R in one numpy call. That is about 40 bytes per occurrence
+(an 8-byte list slot, a 28-byte int and 4 array bytes) instead of 4, and
+O(occ) boxing at setup instead of on every query.
 """
 
 from __future__ import annotations
@@ -29,19 +35,24 @@ from .text_core import Text, pattern_letters
 _NUMPY_SHIFT = 64
 
 
-def splice(starts: array, m: int, ell: int, rp: int, shift: int, seam: list[int]) -> list[int]:
+def splice(starts: list[int], starts_np: np.ndarray, m: int, ell: int, rp: int,
+           shift: int, seam: list[int]) -> list[int]:
     """Sorted pattern starts after an edit keeping L = text[:ell] and
-    R = text[rp:], given the sorted unedited ``starts``, the ``shift``
-    from R's old positions to its new ones, and ``seam``: the sorted
-    matches that start after ell - m and before R. Every other match lies
-    in L, up to ell - m, or in R, from rp on."""
-    out = starts[: bisect_right(starts, ell - m)].tolist()
+    R = text[rp:], given the sorted unedited ``starts`` (and the same
+    starts as the int32 ``starts_np``), the ``shift`` from R's old
+    positions to its new ones, and ``seam``: the sorted matches that start
+    after ell - m and before R. Every other match lies in L, up to ell - m,
+    or in R, from rp on. The answer is a new list: slices of ``starts``
+    copy the ints boxed at setup, so only a shifted R boxes new ones."""
+    out = starts[: bisect_right(starts, ell - m)]
     out += seam
     j = bisect_left(starts, rp)
-    if len(starts) - j < _NUMPY_SHIFT:
+    if not shift:
+        out += starts[j:]
+    elif len(starts) - j < _NUMPY_SHIFT:
         out += [x + shift for x in starts[j:]]
     else:
-        out += (np.frombuffer(starts, np.int32)[j:] + shift).tolist()
+        out += (starts_np[j:] + shift).tolist()
     return out
 
 
@@ -66,10 +77,11 @@ class BlockDeleteMatcher:
     `lsp[j]` is the length of the longest pattern suffix that is a prefix
     of text[j:]; `lpf[p]` the length of the longest pattern prefix that is
     a suffix of text[: p + 1]. `idx` holds the sorted starts of the
-    pattern in the unedited text.
+    pattern in the unedited text as a list, and `idx_np` the same starts
+    as an int32 array.
     """
 
-    __slots__ = ("text", "pattern", "n", "m", "idx", "lsp", "lpf", "psi")
+    __slots__ = ("text", "pattern", "n", "m", "idx", "idx_np", "lsp", "lpf", "psi")
 
     def __init__(self, text, pattern):
         t = text if isinstance(text, Text) else Text(text)
@@ -85,7 +97,8 @@ class BlockDeleteMatcher:
         self.lpf = _kmp_states(t.letters, pat, self.psi.f)
         self.lsp = _kmp_states(t.letters[::-1], pat[::-1], self.psi.g)[::-1]
         ends = np.flatnonzero(np.frombuffer(self.lpf, np.int32) == m)
-        self.idx = array("i", (ends - (m - 1)).astype(np.int32).tobytes())
+        self.idx_np = (ends - (m - 1)).astype(np.int32)
+        self.idx = self.idx_np.tolist()
 
     def _delete_seam(self, first: int, last: int) -> tuple[int, int, int, int, int]:
         a = self.lpf[first - 1] if first else 0
@@ -106,7 +119,7 @@ class BlockDeleteMatcher:
         for t in self.psi.query(a, b):
             if a - m < t < a + width:
                 seam.append(ell - a + t)
-        return splice(self.idx, m, ell, rp, ell + width - rp, seam)
+        return splice(self.idx, self.idx_np, m, ell, rp, ell + width - rp, seam)
 
     def occurrences_after_delete(self, first: int, last: int) -> list[int]:
         """Sorted pattern starts in the text with [first, last] removed."""

@@ -69,7 +69,10 @@ class PredSet:
 
     def cover(self, q: int) -> IntervalEntry | None:
         """The entry whose interval contains q, or None."""
-        idx = self.predecessor_index(q)
+        # predecessor_index inlined: both engines call this on every query.
+        if not 0 <= q < self.universe:
+            raise ValueError(f"query {q} outside universe [0, {self.universe})")
+        idx = bisect_right(self.starts, q) - 1
         if idx < 0:
             return None
         end = self.ends[idx]

@@ -14,8 +14,6 @@ suffix once the matched lengths are known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def z_array(s: list[int]) -> list[int]:
     """z[i] is the length of the longest common prefix of s and s[i:].
@@ -51,21 +49,32 @@ def border_array(s: list[int]) -> list[int]:
     return f
 
 
-@dataclass(frozen=True)
 class ArithmeticProgression:
     """first, first + diff, ..., first + (count - 1) * diff."""
 
-    first: int
-    diff: int
-    count: int
+    __slots__ = ("first", "diff", "count")
 
-    def __post_init__(self):
-        if self.diff <= 0:
+    def __init__(self, first: int, diff: int, count: int):
+        if diff <= 0:
             raise ValueError("diff must be positive")
+        self.first = first
+        self.diff = diff
+        self.count = count
 
     def __iter__(self):
-        for k in range(self.count):
-            yield self.first + k * self.diff
+        return iter(range(self.first, self.first + self.count * self.diff, self.diff))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.first, self.diff, self.count) == (other.first, other.diff, other.count)
+
+    def __hash__(self) -> int:
+        return hash((self.first, self.diff, self.count))
+
+    def __repr__(self) -> str:
+        return (f"ArithmeticProgression(first={self.first!r}, diff={self.diff!r}, "
+                f"count={self.count!r})")
 
     def __len__(self) -> int:
         return self.count

@@ -1,6 +1,6 @@
 """The general engine on adversarial text families at n in [300, 2000]
 against the reference oracle, both engines' answers in text order with no
-sort, and the context-group lookup against one predecessor set per group
+sort and apart from the starts they keep, and the context-group lookup against one predecessor set per group
 and against a brute-force scan of the text."""
 
 import itertools
@@ -143,6 +143,31 @@ def test_splice_shifts_few_and_many_right_starts(right, no_sort):
         assert occurrences_after(ph, op) == want, op
         if isinstance(op, Delete) or len(op.block) == 1:
             assert em.occurrences_after_edit(op) == want, op
+
+
+def test_answers_never_alias_the_starts():
+    """Both engines answer with slices of the starts their handle keeps.
+    Emptying an answer must change neither the handle's starts nor the
+    next answer: on inserts, deletes and substitutes, with L or R empty,
+    with L whole, and with few, many and unshifted starts in R."""
+    n, pattern = 300, [0, 0, 0]
+    text = [0] * (n - 10) + [1] * 10  # starts 0 .. n - 13
+    tx = Text(text, 2)
+    ph = preprocess_pattern(preprocess_text(tx), pattern, 4)
+    em = EditMatcher(tx, pattern)
+    ops = [Insert(-1, (1,)), Delete(0, 9), Substitute(0, (1,)),  # L empty
+           Insert(n - 1, (0,)), Delete(n - 10, n - 1),  # R empty, L whole
+           Insert(n - 11, (0,)), Substitute(n - 10, (0,)), Substitute(n - 5, (0,)),  # L whole
+           Delete(n - 20, n - 16), Insert(150, (0,)), Delete(150, 150), Substitute(150, (1,))]
+    for holder, answer in ((ph, lambda op: occurrences_after(ph, op)), (em, em.occurrences_after_edit)):
+        before = list(holder.idx)
+        for op in ops:
+            want = occurrences_after_oracle(text, pattern, op)
+            got = answer(op)
+            assert got == want, op
+            got[:] = [-1]
+            assert answer(op) == want, op
+            assert holder.idx == before, op
 
 
 def _class_of(start: int, end: int, ell: int, blen: int) -> str:

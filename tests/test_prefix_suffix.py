@@ -40,6 +40,10 @@ def test_progression_validation():
     assert 7 in ap and 8 not in ap and 11 not in ap
     assert len(EMPTY_PROGRESSION) == 0
     assert 0 not in EMPTY_PROGRESSION
+    assert list(EMPTY_PROGRESSION) == []
+    assert ap == ArithmeticProgression(3, 2, 4) != ArithmeticProgression(3, 2, 3)
+    assert hash(ap) == hash(ArithmeticProgression(3, 2, 4))
+    assert repr(ap) == "ArithmeticProgression(first=3, diff=2, count=4)"
 
 
 def test_query_hand_cases():
