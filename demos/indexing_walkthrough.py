@@ -36,7 +36,7 @@ print()
 
 # Matching statistics tell how far each pattern suffix matches in T. The
 # index reads the same intervals off backward search instead, with no
-# suffix tree: eti.fwd.suffix_intervals(pattern).
+# suffix tree, as two columns: lo, hi = eti.fwd.suffix_intervals(pattern).
 ms = matching_statistics(build_suffix_tree(list(TEXT)), list(PATTERN))
 for i in range(len(PATTERN)):
     iv = ms.suf_interval[i]
@@ -46,7 +46,9 @@ print()
 
 # Decorated pattern suffixes are decomposed into disjoint rank intervals:
 # the entry covering a suffix's rank names the longest pattern suffix
-# that prefixes it. Context groups do the same per preceding letter.
+# that prefixes it. Context groups do the same per preceding letter. The
+# tree is the reference; the index flattens the intervals' columns
+# directly, into the same entries (ph.main_fwd).
 tree = build_tree_p(list(PATTERN), ms.suf_interval)
 print("disjoint decomposition:",
       [(e.start, e.end, e.suffix_start) for e in decompose_disjoint(tree)])

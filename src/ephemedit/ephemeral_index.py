@@ -4,12 +4,14 @@
 array, its inverse and a rank table over the Burrows-Wheeler transform
 per direction. `preprocess_pattern` then prepares one pattern against
 that index, reading the suffix-array interval of each pattern suffix off
-backward search and sorting its occ starts in the text, in O(occ log occ)
-time. The starts are kept as a list of ints, boxed once at setup, and as
-an int32 array: about 40 bytes each, so a pattern takes O(m) space only
-while occ = O(m). `occurrences_after` answers, for any single insert, delete,
-or substitute, where the pattern would occur in the edited text. Nothing
-is mutated, so edits can be queried in any order.
+backward search as lo and hi columns, flattening those columns into
+predecessor sets with no tree of the pattern's suffixes, and sorting its
+occ starts in the text, in O(occ log occ) time. The starts are kept as a
+list of ints, boxed once at setup, and as an int32 array: about 40 bytes
+each, so a pattern takes O(m) space only while occ = O(m).
+`occurrences_after` answers, for any single insert, delete, or
+substitute, where the pattern would occur in the edited text. Nothing is
+mutated, so edits can be queried in any order.
 
 An edit splits the text into a left part L, a block M (empty for deletes),
 and a right part R. Occurrences inside L and inside R are two bisect
@@ -35,13 +37,13 @@ from __future__ import annotations
 import numpy as np
 
 from .edits import Delete, EditOp, Insert, Substitute, validate_edit
-from .pattern_trees import build_tree_p, context_group_rows, decompose_disjoint
+from .pattern_trees import context_group_rows, flatten_laminar
 from .predecessor_sets import PredSet
 from .pm_block_delete import splice
 from .prefix_suffix import PrefSufIndex
 # Read by perfbench only; ROADMAP direction 1 removes it.
 from .suffix_tree import matching_statistics  # noqa: F401
-from .text_core import Text, TextIndex, pattern_letters
+from .text_core import AlphabetError, Text, TextIndex, pattern_letters
 
 
 class EphemeralTextIndex:
@@ -62,6 +64,9 @@ class EphemeralTextIndex:
 def preprocess_text(text, sigma: int | None = None) -> EphemeralTextIndex:
     if not isinstance(text, Text):
         text = Text(text, sigma)
+    # Text([], sigma) checks a given sigma as it would for any text.
+    elif sigma is not None and Text([], sigma).sigma != text.sigma:
+        raise AlphabetError(f"sigma={sigma} differs from the text's own sigma={text.sigma}")
     return EphemeralTextIndex(text)
 
 
@@ -70,15 +75,18 @@ class PatternHandle:
 
     Holds the pattern's junction tables: its prefix-suffix index, the
     disjoint decorated intervals of its suffixes over the forward and
-    reversed text (as predecessor sets), and the context groups of every
-    word of length up to `key_len`, the least length up to epsilon at
-    which the pattern's context words are distinct. `groups` maps a word
-    to its group id gid, and `group_set` is one predecessor set over all
-    groups, group gid holding its ranks r as keys gid * n + r. `word` is
-    the pattern as a tuple, against which `group_cover` checks longer
-    blocks. `idx` holds the pattern's starts in the text, sorted, as a list
-    of ints, and `idx_np` the same starts as an int32 array: about 40 bytes
-    per occurrence. Stateless at query time.
+    reversed text (as predecessor sets `main_fwd` and `main_rev`, read
+    straight off the columns of `TextIndex.suffix_intervals` with no
+    pattern tree; `tree_fwd` and `tree_rev` stay None), and the context
+    groups of every word of length up to `key_len`, the least length up
+    to epsilon at which the pattern's context words are distinct.
+    `groups` maps a word to its group id gid, and `group_set` is one
+    predecessor set over all groups, group gid holding its ranks r as
+    keys gid * n + r. `word` is the pattern as a tuple, against which
+    `group_cover` checks longer blocks. `idx` holds the pattern's starts
+    in the text, sorted, as a list of ints, and `idx_np` the same starts
+    as an int32 array: about 40 bytes per occurrence. Stateless at query
+    time.
     """
 
     __slots__ = (
@@ -113,21 +121,27 @@ class PatternHandle:
         self.psi = PrefSufIndex(pat)
 
         n = eti.n
-        suf_fwd = eti.fwd.suffix_intervals(pat)
-        self.tree_fwd = build_tree_p(pat, suf_fwd)
-        self.main_fwd = PredSet(decompose_disjoint(self.tree_fwd), n)
+        lo, hi = eti.fwd.suffix_intervals(pat)
+        self.main_fwd = _decomposition(lo, hi, n)
         self.word = tuple(pat)
-        self.key_len, self.groups, *rows = context_group_rows(pat, suf_fwd, epsilon, n)
+        self.key_len, self.groups, *rows = context_group_rows(pat, lo, hi, epsilon, n)
         self.group_set = PredSet(zip(*rows), max(1, len(self.groups)) * n)
         rev_pat = pat[::-1]
         self.rev_pattern = rev_pat
-        suf_rev = eti.rev.suffix_intervals(rev_pat)
-        self.tree_rev = build_tree_p(rev_pat, suf_rev)
-        self.main_rev = PredSet(decompose_disjoint(self.tree_rev), n)
-        occ = suf_fwd[0]
-        starts = np.frombuffer(eti.fwd.sa, np.int32)[occ.lo : occ.hi + 1]
+        self.main_rev = _decomposition(*eti.rev.suffix_intervals(rev_pat), n)
+        self.tree_fwd = None  # read by perfbench; ROADMAP direction 1 removes it
+        self.tree_rev = None  # read by perfbench; ROADMAP direction 1 removes it
+        starts = np.frombuffer(eti.fwd.sa, np.int32)[lo[0] : hi[0] + 1]
         self.idx_np = np.sort(starts)
         self.idx = self.idx_np.tolist()
+
+
+def _decomposition(lo: np.ndarray, hi: np.ndarray, n: int) -> PredSet:
+    """The occurring suffixes' intervals, from `TextIndex.suffix_intervals`,
+    flattened so that the piece covering a rank names the longest
+    pattern suffix prefixing that rank's text suffix."""
+    sfx = np.flatnonzero(lo <= hi)
+    return PredSet(zip(*flatten_laminar(lo[sfx], hi[sfx], sfx)), n)
 
 
 def preprocess_pattern(eti: EphemeralTextIndex, pattern, epsilon: int) -> PatternHandle:

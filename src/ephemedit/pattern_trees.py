@@ -1,26 +1,32 @@
 """Suffix-of-pattern bookkeeping used to answer junction queries.
 
-`build_tree_p` arranges the pattern's suffixes into a tree where each
-suffix hangs under the longest other suffix that is a proper prefix of it.
-That tree is the Knuth-Morris-Pratt failure tree of the reversed pattern,
-so it comes from one border array. A suffix that occurs in the indexed
-text carries the suffix-array interval of its occurrences as its
-decoration.
+The suffix-array intervals of a pattern's suffixes form a laminar family:
+two of them either nest or are disjoint. `flatten_laminar` cuts such a
+family, given as int64 columns, into disjoint pieces with one numpy sort
+and one stack pass (`_flatten_longest`), the innermost interval winning,
+so that the piece covering a rank names the longest member suffix that
+is a prefix of that rank's text suffix. Every flattening in the package
+goes through it. The index flattens the occurring suffixes straight from
+the columns that `TextIndex.suffix_intervals` returns; backward search
+already guarantees the nesting.
 
-Decorated intervals form a laminar family: two of them either nest or are
-disjoint. `_flatten_longest` cuts such a family, given as sorted integer
-columns, into disjoint pieces with one stack pass, the innermost interval
-winning, so that the piece covering a rank names the longest member
-suffix that is a prefix of that rank's text suffix. `decompose_disjoint`
-flattens every decorated suffix after checking the decorations against
-the tree. Context groups flatten per context: only suffixes immediately
-preceded in the pattern by a given short word take part, which is what
-queries about an inserted block need. `build_context_groups` returns them
-as one entry list per word. `context_group_rows`, which the index uses,
+Context groups flatten per context: only suffixes immediately preceded
+in the pattern by a given short word take part, which is what queries
+about an inserted block need. `context_group_rows`, which the index uses,
 keys only the words up to the pattern's key length, past which every
 group has a single member; it shifts group gid's ranks by gid * n so
-that all groups form one laminar family, and gets every group's pieces
-from one numpy sort and one pass, as three integer columns.
+that all groups form one laminar family, flattened at once into three
+integer columns.
+
+The rest is the reference the tests, acceptance criterion 2 and the
+walkthrough demo check the index against; the index calls none of it.
+`build_tree_p` arranges the pattern's suffixes into a tree where each
+suffix hangs under the longest other suffix that is a proper prefix of
+it: the Knuth-Morris-Pratt failure tree of the reversed pattern, from
+one border array, each occurring suffix decorated with its interval.
+`decompose_disjoint` checks the decorations against the tree and
+flattens them; `build_context_groups` returns every group up to a given
+word length as one entry list per word.
 """
 
 from __future__ import annotations
@@ -109,15 +115,22 @@ def decompose_disjoint(tree: SuffixPrefixTree) -> list[IntervalEntry]:
 
 
 def _flatten_members(members: list[tuple[int, int, int]]) -> list[IntervalEntry]:
-    """Sort one laminar family of (lo, hi, suffix start) triples and
-    flatten it into entries."""
-    if not members:
-        return []
-    # Outer intervals first and, among identical intervals, the longer
-    # suffix last so it ends up on top of the stack.
-    members.sort(key=lambda t: (t[0], -t[1], -t[2]))
-    starts, ends, suffix_starts = _flatten_longest(*zip(*members))
-    return [IntervalEntry(*t) for t in zip(starts, ends, suffix_starts)]
+    """Flatten one laminar family of (lo, hi, suffix start) triples into
+    entries."""
+    cols = np.array(members, np.int64).reshape(-1, 3).T
+    return [IntervalEntry(*t) for t in zip(*flatten_laminar(*cols))]
+
+
+def flatten_laminar(start, end, sfx) -> tuple[list[int], list[int], list[int]]:
+    """Flatten a laminar family given as int64 columns, innermost wins.
+
+    Row k is the interval [start[k], end[k]] of suffix sfx[k]. One
+    lexsort puts outer intervals first and, among identical intervals,
+    the longer suffix last so it ends up on top of the stack. The pieces
+    come back as (starts, ends, suffix starts) columns, in order.
+    """
+    order = np.lexsort((-sfx, -end, start))
+    return _flatten_longest(start[order].tolist(), end[order].tolist(), sfx[order].tolist())
 
 
 def _flatten_longest(los, his, sfx) -> tuple[list[int], list[int], list[int]]:
@@ -191,10 +204,11 @@ def build_context_groups(
 
 
 def context_group_rows(
-    pattern: list[int], suf_interval: list[SaInterval], max_len: int, n: int
+    pattern: list[int], lo: np.ndarray, hi: np.ndarray, max_len: int, n: int
 ) -> tuple[int, dict[tuple[int, ...], int], list[int], list[int], list[int]]:
     """Context groups up to the key length, packed into one sorted family.
 
+    ``lo`` and ``hi`` are the columns of `TextIndex.suffix_intervals`.
     Returns (key_len, groups, starts, ends, suffix starts). key_len is the
     least length up to max_len at which the context words are pairwise
     distinct, or max_len when there is none. Distinct words stay distinct
@@ -205,13 +219,13 @@ def context_group_rows(
     `build_context_groups` orders its words, and group gid's pieces are
     the rows whose ranks r sit at gid * n + r. Ranks are below n, so
     members of different groups never overlap: the shifted members of all
-    groups still form one laminar family, and a single sort and flatten
-    pass gives every group's pieces at once.
+    groups still form one laminar family, and one `flatten_laminar` gives
+    every group's pieces at once.
     """
     m = len(pattern)
-    if len(suf_interval) != m:
+    if len(lo) != m or len(hi) != m:
         raise ValueError("suffix intervals do not match the pattern length")
-    occurring = [i for i in range(m) if not suf_interval[i].is_empty]
+    occurring = np.flatnonzero(lo <= hi).tolist()
     word = tuple(pattern)
     groups: dict[tuple[int, ...], int] = {}
     gids: list[int] = []
@@ -226,14 +240,6 @@ def context_group_rows(
         if len(gids) - len(groups) == repeats:
             key_len = length
             break
-    lo = np.fromiter((iv.lo for iv in suf_interval), np.int64, m)
-    hi = np.fromiter((iv.hi for iv in suf_interval), np.int64, m)
     sfx = np.array(members, dtype=np.int64)
     base = np.array(gids, dtype=np.int64) * n
-    start = base + lo[sfx]
-    end = base + hi[sfx]
-    order = np.lexsort((-sfx, -end, start))
-    starts, ends, suffix_starts = _flatten_longest(
-        start[order].tolist(), end[order].tolist(), sfx[order].tolist()
-    )
-    return key_len, groups, starts, ends, suffix_starts
+    return key_len, groups, *flatten_laminar(base + lo[sfx], base + hi[sfx], sfx)

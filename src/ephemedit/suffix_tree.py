@@ -19,10 +19,11 @@ pattern-matching engines read the same table off a Knuth-Morris-Pratt scan.
 
 No engine builds a suffix tree. The general engine reads each pattern
 suffix's interval off backward search over the suffix array
-(`TextIndex.suffix_intervals`), which gives exactly `suf_interval`, and
-the tree of a pattern's own suffixes comes from a border array (see
-`pattern_trees`). The trees here serve the tests, the demos, and as the
-reference those two are checked against.
+(`TextIndex.suffix_intervals`), whose lo and hi columns hold exactly
+the bounds of `suf_interval`, and flattens those columns with no tree of
+the pattern's own suffixes (see `pattern_trees`). The trees here serve
+the tests, the demos, and as the reference those two are checked
+against.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
 """Core text indexing: a suffix array by the DC3 (skew) algorithm in numpy,
 O(n log n) time with numpy's sorts, its inverse, and a rank table over
 the Burrows-Wheeler transform whose backward search gives the
-suffix-array interval of every pattern suffix that occurs in the text.
-The LCP array is computed here too, for the suffix trees that the tests
-and demos build; the index builds none. `TextIndex` keeps no range-max
-table: a prepared pattern sorts the starts of its own interval instead.
+suffix-array interval of every pattern suffix that occurs in the text,
+as two int64 columns lo and hi. The LCP array is computed here too, and
+`SaInterval` defined, for the suffix trees and pattern trees that the
+tests and demos build; the index builds neither. `TextIndex` keeps no
+range-max table: a prepared pattern sorts the starts of its own
+interval instead.
 
 DC3 sorts letter triples as single packed int64 keys. A level whose keys
 could reach 2^63, which takes letters beyond 2^21, ranks its letters and
@@ -339,10 +341,11 @@ class TextIndex:
         ROADMAP direction 1 removes it."""
         return [p for p in self.sa[interval.lo : interval.hi + 1] if p >= lo]
 
-    def suffix_intervals(self, pattern) -> list[SaInterval]:
-        """The suffix-array interval of each suffix pattern[i:] that occurs
-        in the text, empty for the others, by backward search over the
-        rank table (Ferragina and Manzini, FOCS 2000).
+    def suffix_intervals(self, pattern) -> tuple[np.ndarray, np.ndarray]:
+        """The suffix-array interval [lo[i], hi[i]] of each suffix
+        pattern[i:] that occurs in the text, as two int64 columns, and
+        hi[i] < lo[i] for the others, by backward search over the rank
+        table (Ferragina and Manzini, FOCS 2000).
 
         A row's place in `bwt_rows` is the row of its suffix extended by
         its BWT letter, so the rows of c + X are the places, within c's
@@ -350,9 +353,10 @@ class TextIndex:
         the group turn the rows of pattern[i + 1:] into those of
         pattern[i:]. The search runs i from m - 1 down to 0 and stops at
         the first empty interval or letter absent from the text, since
-        every longer suffix is absent too. O(m log n) time.
+        every longer suffix is absent too, leaving the (0, -1) of
+        `EMPTY_INTERVAL` there. O(m log n) time.
         """
-        out = [EMPTY_INTERVAL] * len(pattern)
+        out_lo, out_hi = [0] * len(pattern), [-1] * len(pattern)
         rows = self.bwt_rows
         start = self.bwt_start
         alphabet = self.alphabet
@@ -366,5 +370,5 @@ class TextIndex:
             hi = bisect_left(rows, hi, start[c], start[c + 1])
             if lo == hi:
                 break
-            out[i] = SaInterval(lo - 1, hi - 2)
-        return out
+            out_lo[i], out_hi[i] = lo - 1, hi - 2
+        return np.array(out_lo, np.int64), np.array(out_hi, np.int64)

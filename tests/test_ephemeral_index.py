@@ -105,6 +105,21 @@ def test_pattern_letters_must_fit_alphabet():
             preprocess_pattern(eti, bad, epsilon=4)
 
 
+@pytest.mark.parametrize("sigma", [2, 4, True, 5.0])
+def test_text_sigma_must_match_a_given_sigma(sigma):
+    # A Text already fixes its alphabet: a different sigma is refused,
+    # not dropped, so the letter 3 below cannot slip past sigma = 2.
+    text = Text([0, 1, 3, 1], sigma=5)
+    with pytest.raises(AlphabetError, match="sigma"):
+        preprocess_text(text, sigma)
+
+
+def test_text_sigma_equal_to_a_given_sigma_passes():
+    eti = preprocess_text(Text([0, 1, 3, 1], sigma=5), sigma=5)
+    assert eti.sigma == 5
+    assert occurrences_after(preprocess_pattern(eti, [3, 1], 1), Delete(0, 0)) == [1]
+
+
 def test_bad_positions_rejected(example_handle):
     for op in (Insert(17, b"a"), Delete(3, 17), Substitute(16, b"aa"), Insert(-2, b"a")):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 """The general engine on adversarial text families at n in [300, 2000]
 against the reference oracle, both engines' answers in text order with no
-sort and apart from the starts they keep, and the context-group lookup against one predecessor set per group
-and against a brute-force scan of the text."""
+sort and apart from the starts they keep, the main predecessor sets
+against the pattern tree's decomposition (also on each text doubled), and
+the context-group lookup against one predecessor set per group and
+against a brute-force scan of the text."""
 
 import itertools
 import random
@@ -17,7 +19,7 @@ from ephemedit.ephemeral_index import (
     preprocess_pattern,
     preprocess_text,
 )
-from ephemedit.pattern_trees import build_context_groups
+from ephemedit.pattern_trees import build_context_groups, build_tree_p, decompose_disjoint
 from ephemedit.pm_ephemeral_edits import EditMatcher
 from ephemedit.predecessor_sets import PredSet
 from ephemedit.reference_oracle import naive_search, occurrences_after_oracle
@@ -25,6 +27,7 @@ from ephemedit.suffix_tree import build_suffix_tree, matching_statistics
 from ephemedit.text_core import Text
 
 from families import fibonacci_word, huge_alphabet, periodic_with_noise, square
+from test_text_core import scanned_intervals
 
 
 # name -> (text, sigma, epsilon), built from a fixed seed per family.
@@ -97,6 +100,32 @@ def test_edits_on_adversarial_texts(family):
             if not isinstance(op, Delete) and by["cross"]:
                 crossed += 1
     assert crossed > 0
+
+
+@pytest.mark.parametrize("doubled", [False, True])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_main_sets_match_tree_decomposition(family, doubled):
+    """Both main predecessor sets, flattened straight from the suffix
+    intervals, hold the columns of the pattern tree's checked
+    decomposition over the suffix-array scan's intervals. The doubled
+    text is the family's text twice, a square of twice the length."""
+    rng = random.Random(f"main-sets/{family}/{doubled}")
+    text, sigma, epsilon = FAMILIES[family](rng)
+    if doubled:
+        text = text + text
+    n = len(text)
+    eti = preprocess_text(Text(text, sigma))
+    occurring = 0
+    for pattern in patterns_for(rng, text, sigma):
+        ph = preprocess_pattern(eti, pattern, epsilon)
+        for got, index, p in ((ph.main_fwd, eti.fwd, pattern), (ph.main_rev, eti.rev, pattern[::-1])):
+            intervals = scanned_intervals(index.text.letters, index.sa, p)
+            want = PredSet(decompose_disjoint(build_tree_p(p, intervals)), n)
+            occurring += len(want.starts)
+            assert (got.starts, got.ends, got.suffix_starts, got.universe) == (
+                want.starts, want.ends, want.suffix_starts, want.universe
+            ), (family, doubled, pattern)
+    assert occurring > 0
 
 
 @pytest.fixture

@@ -2,12 +2,14 @@
 backward search over the rank table."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ephemedit.edits import Substitute
+from ephemedit import pattern_trees
+from ephemedit.edits import Delete, Insert, Substitute
 from ephemedit.ephemeral_index import occurrences_after, preprocess_pattern, preprocess_text
 from ephemedit.reference_oracle import occurrences_after_oracle
 from ephemedit.suffix_tree import SuffixTree, matching_statistics
@@ -250,6 +252,15 @@ def scanned_intervals(letters: list[int], sa: list[int], pattern: list) -> list[
     return out[::-1]
 
 
+def intervals(idx: TextIndex, pattern) -> list[SaInterval]:
+    """`suffix_intervals`' lo and hi columns, read back as one interval
+    per pattern suffix; a suffix that does not occur reads (0, -1)."""
+    lo, hi = idx.suffix_intervals(pattern)
+    assert lo.dtype == hi.dtype == np.int64
+    assert len(lo) == len(hi) == len(pattern)
+    return [SaInterval(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+
+
 def check_suffix_intervals(letters: list[int], sigma: int, patterns) -> None:
     """Backward search on the text and on its reversal against matching
     statistics over a suffix tree and against a scan of the suffix array."""
@@ -258,18 +269,18 @@ def check_suffix_intervals(letters: list[int], sigma: int, patterns) -> None:
         idx = TextIndex(t)
         tree = SuffixTree(t, sa=idx.sa)
         for pattern in patterns:
-            got = idx.suffix_intervals(pattern)
+            got = intervals(idx, pattern)
             assert got == matching_statistics(tree, pattern).suf_interval, pattern
             assert got == scanned_intervals(t.letters, idx.sa, pattern), pattern
 
 
 def test_suffix_intervals_on_example():
     idx = TextIndex(Text(EXAMPLE))
-    got = idx.suffix_intervals(list(b"xbana"))
+    got = intervals(idx, list(b"xbana"))
     assert got[1:] == [rank_interval(idx, list(b"bana"[i:])) for i in range(4)]
     assert got[0] == EMPTY_INTERVAL  # "x" is not in the text
-    assert idx.suffix_intervals(list(b"ana"))[0] == SaInterval(4, 7)
-    twice = idx.suffix_intervals(EXAMPLE + EXAMPLE)
+    assert intervals(idx, list(b"ana"))[0] == SaInterval(4, 7)
+    twice = intervals(idx, EXAMPLE + EXAMPLE)
     assert twice[:17] == [EMPTY_INTERVAL] * 17
     assert twice[17] == SaInterval(7, 7)  # the whole text, at rank isa[0]
 
@@ -320,7 +331,7 @@ def test_suffix_intervals_at_rank_table_dtype_limits(distinct):
     patterns = [*cuts, cuts[0][:3] + [2] + cuts[0][3:], [3 * distinct + 1]]
     idx = TextIndex(Text(letters, 3 * distinct + 2))
     for pattern in patterns:
-        assert idx.suffix_intervals(pattern) == scanned_intervals(letters, idx.sa, pattern), pattern
+        assert intervals(idx, pattern) == scanned_intervals(letters, idx.sa, pattern), pattern
 
 
 @settings(max_examples=150, deadline=None)
@@ -344,3 +355,25 @@ def test_index_path_builds_no_suffix_tree(monkeypatch):
     ph = preprocess_pattern(preprocess_text(EXAMPLE, 256), pattern, epsilon=4)
     op = Substitute(14, tuple(b"na"))
     assert occurrences_after(ph, op) == occurrences_after_oracle(EXAMPLE, pattern, op) == [10]
+
+
+def test_index_path_builds_no_pattern_tree(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pattern tree was built on the index path")
+
+    # Every library module that imported the tree functions by name.
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("ephemedit"):
+            for name in ("build_tree_p", "decompose_disjoint"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(SaInterval, "__init__", refuse)
+    for call in (lambda: SaInterval(0, 1), lambda: pattern_trees.build_tree_p([0], [])):
+        with pytest.raises(AssertionError):
+            call()
+    pattern = list(b"banana")
+    ph = preprocess_pattern(preprocess_text(EXAMPLE, 256), pattern, epsilon=4)
+    for op in (Insert(7, tuple(b"a")), Delete(13, 13), Substitute(14, tuple(b"na"))):
+        want = occurrences_after_oracle(EXAMPLE, pattern, op)
+        assert want, op
+        assert occurrences_after(ph, op) == want, op
