@@ -57,8 +57,8 @@ for key, entries in sorted(build_context_groups(list(PATTERN), ms, 1).items()):
           [(e.start, e.end, e.suffix_start) for e in entries])
 print()
 
-# Now the edits. "banana" never occurs in T unedited, yet one-letter
-# changes conjure occurrences out of the seam.
+# Now the edits. "banana" never occurs in T unedited, yet edits of one
+# or two letters conjure occurrences out of the seam.
 for op in (Delete(13, 13), Insert(7, b"a"), Insert(-1, b"b"), Insert(11, b"na"),
            Substitute(0, b"x")):
     occ = occurrences_after(ph, op)

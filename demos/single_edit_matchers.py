@@ -1,5 +1,5 @@
 # The two specialized matchers: one answers block deletions, the other
-# single-letter edits. Both preprocess a fixed (text, pattern) pair and
+# any insert, delete or substitute. Both preprocess a fixed (text, pattern) pair and
 # then answer each query from three ingredients: survivors left of the
 # edit, survivors right of it, and occurrences crossing the junction.
 #
@@ -7,7 +7,7 @@
 
 from ephemedit import Delete, Insert, Substitute, Text
 from ephemedit.pm_block_delete import BlockDeleteMatcher
-from ephemedit.pm_ephemeral_edits import EditMatcher, build_sma
+from ephemedit.pm_ephemeral_edits import EditMatcher, Sma
 
 TEXT = b"bababbbababb"
 PAT = b"ababab"
@@ -28,18 +28,20 @@ for first, last in ((5, 6), (0, 0), (4, 7)):
     print(f"delete T[{first}..{last}]      -> {bd.occurrences_after_delete(first, last) or '-'}")
 print()
 
-# Single-letter edits reuse the same tables; the only new ingredient is a
-# sparse automaton over the reversed pattern that extends the right arm
-# of the junction by the edited letter.
+# Edits reuse the same tables; the only new ingredient is a sparse
+# automaton over the reversed pattern. Started from the right arm, it
+# reads the block right to left: its final state is the arm b of the
+# junction, and each time it reaches m a match starts in the block.
 em = EditMatcher(Text(list(TEXT), 256), list(PAT))
-for op in (Insert(4, b"a"), Substitute(5, b"a"), Delete(5, 5), Insert(-1, b"a")):
+for op in (Insert(4, b"a"), Substitute(5, b"a"), Delete(5, 5), Insert(-1, b"a"),
+           Insert(4, b"ab"), Substitute(4, b"bababa")):
     a, b = em.junction_arms(op)
     print(f"{op!r:25} junction arms (a={a}, b={b}) -> {em.occurrences_after_edit(op) or '-'}")
 print()
 
 # The automaton itself stores at most 2m transitions yet answers every
 # (state, letter) step; missing entries mean "start over".
-sma = build_sma(list(PAT[::-1]))
+sma = Sma(list(PAT[::-1]))
 print(f"automaton over reversed P stores {sma.stored} transitions (2m = {2 * len(PAT)})")
 state = 0
 for c in b"bababa":

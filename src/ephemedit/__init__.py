@@ -15,7 +15,7 @@ from .ephemeral_index import (
     preprocess_text,
 )
 from .pm_block_delete import BlockDeleteMatcher
-from .pm_ephemeral_edits import EditMatcher, Sma, build_sma
+from .pm_ephemeral_edits import EditMatcher, Sma
 from .prefix_suffix import ArithmeticProgression, PrefSufIndex
 from .text_core import AlphabetError, SaInterval, Text, TextIndex
 
@@ -35,7 +35,6 @@ __all__ = [
     "Substitute",
     "Text",
     "TextIndex",
-    "build_sma",
     "edited_length",
     "occurrence_classes",
     "occurrences_after",

@@ -2,7 +2,9 @@ r"""Command line front end.
 
 `ephemedit run` executes an edit script against a text and pattern under
 one of the three engines and prints one line of sorted occurrence
-positions per operation. `ephemedit bench ARGS...` runs the benchmark,
+positions per operation. `--mode index` takes blocks of up to
+`--epsilon` letters, `pm-del` only deletes, and `pm-edit` any line with
+blocks of any length. `ephemedit bench ARGS...` runs the benchmark,
 `perfbench/run.py ARGS...`, in a separate process with this interpreter and
 returns its exit code; it needs a checkout of the repository (exit 2
 without one) and takes no options of its own.
@@ -126,8 +128,6 @@ def _parse_script(path: str, tokens: bool) -> list[tuple[int, EditOp]]:
 def _check_op(op: EditOp, mode: str, n: int, sigma: int, epsilon: int, line_no: int) -> None:
     if mode == "pm-del" and not isinstance(op, Delete):
         raise ScriptError(line_no, "pm-del accepts only D operations")
-    if mode == "pm-edit" and not isinstance(op, Delete) and len(op.block) != 1:
-        raise ScriptError(line_no, "pm-edit accepts single-letter blocks only")
     if mode == "index" and not isinstance(op, Delete) and len(op.block) > epsilon:
         raise ScriptError(
             line_no, f"block of length {len(op.block)} exceeds epsilon={epsilon}"

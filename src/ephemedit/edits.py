@@ -111,6 +111,16 @@ def _check_block(block: tuple[int, ...], sigma: int | None) -> None:
                 raise ValueError(f"block letter {a} outside [0, {sigma})")
 
 
+def regions(op: EditOp) -> tuple[int, int, tuple[int, ...]]:
+    """(end of L, start of R in old coordinates, block M) for an edit: the
+    edited text is text[:ell] + M + text[rp:], with M empty for deletes."""
+    if isinstance(op, Insert):
+        return op.after + 1, op.after + 1, op.block
+    if isinstance(op, Delete):
+        return op.first, op.last + 1, ()
+    return op.at, op.at + len(op.block), op.block
+
+
 def edited_length(op: EditOp, n: int) -> int:
     """Length of the text after applying ``op``."""
     if isinstance(op, Insert):

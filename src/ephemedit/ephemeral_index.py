@@ -14,12 +14,13 @@ substitute, where the pattern would occur in the edited text. Nothing is
 mutated, so edits can be queried in any order.
 
 An edit splits the text into a left part L, a block M (empty for deletes),
-and a right part R. Occurrences inside L and inside R are two bisect
-slices of the sorted starts, joined in text order, with no sort, by the
-block-delete matcher's `splice`; those inside M come from a KMP scan of
-the block. The three classes that touch a seam take two windows, each a
-pattern prefix glued to a pattern suffix and answered by `prefix_suffix`
-as one progression. Matches that start in L and reach past it lie in
+and a right part R, as `edits.regions` gives them for both engines.
+Occurrences inside L and inside R are two bisect slices of the sorted
+starts, joined in text order, with no sort, by the block-delete
+matcher's `splice`; those inside M come from a KMP scan of the block.
+The three classes that touch a seam take two windows, each a pattern
+prefix glued to a pattern suffix and answered by `prefix_suffix` as one
+progression. Matches that start in L and reach past it lie in
 P[:a]·P[m-bm:], where a, the longest pattern prefix ending L, comes from
 a predecessor lookup on the reversed index, and bm, the longest pattern
 suffix starting M·R, from the forward one for deletes, else from the
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .edits import Delete, EditOp, Insert, Substitute, validate_edit
+from .edits import Delete, EditOp, regions, validate_edit
 from .pattern_trees import context_group_rows, flatten_laminar
 from .predecessor_sets import PredSet
 from .pm_block_delete import splice
@@ -148,15 +149,6 @@ def preprocess_pattern(eti: EphemeralTextIndex, pattern, epsilon: int) -> Patter
     return PatternHandle(eti, pattern, epsilon)
 
 
-def _regions(op: EditOp, n: int) -> tuple[int, int, tuple[int, ...]]:
-    """(end of L, start of R in old coordinates, block M) for an edit."""
-    if isinstance(op, Insert):
-        return op.after + 1, op.after + 1, op.block
-    if isinstance(op, Delete):
-        return op.first, op.last + 1, ()
-    return op.at, op.at + len(op.block), op.block
-
-
 def _left_arm(ph: PatternHandle, ell: int, n: int) -> int:
     """Longest pattern prefix that is a suffix of the text's first ell
     letters; ``n`` is the text's length."""
@@ -227,7 +219,7 @@ def occurrences_after(ph: PatternHandle, op: EditOp) -> list[int]:
             f"block of length {len(op.block)} exceeds the prepared bound "
             f"{ph.epsilon}"
         )
-    ell, rp, block = _regions(op, n)
+    ell, rp, block = regions(op)
     blen = len(block)
     psi = ph.psi
     seam: list[int] = []
@@ -274,7 +266,7 @@ def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:
     against the ends of L and of the block.
     """
     starts = occurrences_after(ph, op)
-    ell, _, block = _regions(op, ph.eti.n)
+    ell, _, block = regions(op)
     r = ell + len(block)
     m = ph.m
     out: dict[str, list[int]] = {

@@ -10,7 +10,10 @@ inside L or R are two bisect slices of the starts; occurrences crossing
 the seam live inside the window made of the longest pattern prefix that
 ends L glued to the longest pattern suffix that starts R, which is a
 single prefix-suffix query. `splice` joins the slices and the seam's
-matches in text order; the general engine answers through it too.
+matches in text order; the general engine answers through it too. The
+edit matcher answers inserts and substitutes through the same window
+filter, `BlockDeleteMatcher._splice`, adding the matches that start in
+the block.
 
 Both engines keep the starts twice: boxed once at setup as a list of ints,
 which `splice` slices without boxing anything, and as an int32 array, which
@@ -100,30 +103,36 @@ class BlockDeleteMatcher:
         self.idx_np = (ends - (m - 1)).astype(np.int32)
         self.idx = self.idx_np.tolist()
 
-    def _delete_seam(self, first: int, last: int) -> tuple[int, int, int, int, int]:
-        a = self.lpf[first - 1] if first else 0
-        b = self.lsp[last + 1] if last + 1 < self.n else 0
-        return first, last + 1, 0, a, b
+    def _splice(self, ell: int, rp: int, shift: int, a: int, b: int, inner=()) -> list[int]:
+        """Sorted starts in L + M + R, with L = text[:ell], R = text[rp:],
+        ``shift`` from R's old positions to its new ones, and ``inner`` the
+        sorted matches that start in the block M. a is the longest pattern
+        prefix ending L and b the longest pattern suffix starting M + R:
+        the arms of the seam window, whose offset a is where L ends.
 
-    def _splice(self, ell: int, rp: int, width: int, a: int, b: int) -> list[int]:
-        """Sorted starts in L + block + R, with L = text[:ell], R = text[rp:]
-        and a block of ``width`` letters between them; a and b are the arms
-        of the seam window, whose offset a is where the block begins.
-
-        A seam match starts before the block or R and ends after L, so it
-        falls strictly between the survivors of L and those of R.
+        A match that starts in L and ends past it starts before the block
+        and R and ends after L, so it falls strictly between the survivors
+        of L and the matches that start in M or R.
         """
         m = self.m
         # A loop: a comprehension's own frame cost pm queries a few per cent.
         seam = []
         for t in self.psi.query(a, b):
-            if a - m < t < a + width:
+            if a - m < t < a:
                 seam.append(ell - a + t)
-        return splice(self.idx, self.idx_np, m, ell, rp, ell + width - rp, seam)
+        seam += inner
+        return splice(self.idx, self.idx_np, m, ell, rp, shift, seam)
 
     def occurrences_after_delete(self, first: int, last: int) -> list[int]:
-        """Sorted pattern starts in the text with [first, last] removed."""
+        """Sorted pattern starts in the text with [first, last] removed.
+        Both positions must be ints; a bool or float is refused."""
         n = self.n
+        if type(first) is not int:
+            raise ValueError(f"delete position first must be an int, got {first!r}")
+        if type(last) is not int:
+            raise ValueError(f"delete position last must be an int, got {last!r}")
         if not 0 <= first <= last <= n - 1:
             raise ValueError(f"delete range [{first}, {last}] invalid for n={n}")
-        return self._splice(*self._delete_seam(first, last))
+        a = self.lpf[first - 1] if first else 0
+        b = self.lsp[last + 1] if last + 1 < n else 0
+        return self._splice(first, last + 1, first - last - 1, a, b)

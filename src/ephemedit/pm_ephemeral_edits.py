@@ -1,17 +1,19 @@
-"""Occurrences of one pattern after a single-letter insert or substitute,
-plus block deletions inherited from the block-delete matcher.
+"""Occurrences of one pattern after any single insert, delete or
+substitute, on top of the block-delete tables.
 
-On top of the block-delete tables, the matcher keeps a sparse matching
-automaton of the reversed pattern. Reading a letter c from state
-lsp[start of R] yields the longest pattern suffix that is a prefix of
-c followed by R, which is the right arm of the seam window. A match
-after an insert or substitute must cover the changed letter, so the
-window filter keeps offsets whose span includes the seam position.
+The matcher keeps a sparse matching automaton of the reversed pattern.
+An edit leaves L = text[:ell], a block M (empty for deletes) and
+R = text[rp:]. Starting from lsp[rp], the longest pattern suffix that
+prefixes R, the automaton reads M right to left. Wherever its state
+reaches m a match starts, and its final state is the longest pattern
+suffix that prefixes M + R. That state and the longest pattern prefix
+ending L are the arms of the one seam window, which holds every match
+that starts in L and ends past it (Knuth, Morris and Pratt 1977).
 """
 
 from __future__ import annotations
 
-from .edits import Delete, EditOp, Insert, validate_edit
+from .edits import EditOp, regions, validate_edit
 from .pm_block_delete import BlockDeleteMatcher
 from .prefix_suffix import border_array
 
@@ -19,12 +21,13 @@ from .prefix_suffix import border_array
 class Sma:
     """Sparse matching automaton: state k means k letters of word matched.
 
-    Only transitions that advance somewhere are stored; every absent
-    (state, letter) pair falls back to state 0. The table holds at most
-    2 * len(word) entries.
+    `rows[k]` maps a letter to the state it leads to from state k. Only
+    transitions that advance somewhere are stored; every absent
+    (state, letter) pair falls back to state 0. The rows hold at most
+    2 * len(word) entries in all.
     """
 
-    __slots__ = ("word", "m", "table")
+    __slots__ = ("word", "m", "rows")
 
     def __init__(self, word):
         w = [int(c) for c in word]
@@ -32,28 +35,22 @@ class Sma:
         if m == 0:
             raise ValueError("automaton word must be non-empty")
         f = border_array(w)
-        states: list[dict[int, int]] = []
+        rows: list[dict[int, int]] = []
         for k in range(m + 1):
-            d = dict(states[f[k]]) if k else {}
+            d = dict(rows[f[k]]) if k else {}
             if k < m:
                 d[w[k]] = k + 1
-            states.append(d)
+            rows.append(d)
         self.word = w
         self.m = m
-        self.table = {
-            (k, c): v for k, st in enumerate(states) for c, v in st.items()
-        }
+        self.rows = rows
 
     def step(self, state: int, letter: int) -> int:
-        return self.table.get((state, letter), 0)
+        return self.rows[state].get(letter, 0)
 
     @property
     def stored(self) -> int:
-        return len(self.table)
-
-
-def build_sma(word) -> Sma:
-    return Sma(word)
+        return sum(map(len, self.rows))
 
 
 class EditMatcher(BlockDeleteMatcher):
@@ -66,32 +63,34 @@ class EditMatcher(BlockDeleteMatcher):
         self.sma = Sma(self.pattern[::-1])
 
     def junction_arms(self, op: EditOp) -> tuple[int, int]:
-        """The two window arms (a, b) a query would use for this edit.
+        """The two arms (a, bm) of the seam window a query would use.
 
-        a is the longest pattern prefix ending where L ends; b the longest
-        pattern suffix starting at the seam (including the new letter for
-        inserts and substitutes).
+        a is the longest pattern prefix ending where L ends; bm the longest
+        pattern suffix starting the block followed by R.
         """
         validate_edit(op, self.n, self.text.sigma)
-        return self._seam(op)[3:]
+        return self._scan(op)[3:5]
 
-    def _seam(self, op: EditOp) -> tuple[int, int, int, int, int]:
-        """(ell, rp, width, a, b) as taken by ``_splice``."""
-        if isinstance(op, Delete):
-            return self._delete_seam(op.first, op.last)
-        if len(op.block) != 1:
-            raise ValueError(
-                "this matcher supports single-letter inserts and substitutes"
-            )
-        if isinstance(op, Insert):
-            ell = rp = op.after + 1
-        else:
-            ell, rp = op.at, op.at + 1
-        a = self.lpf[ell - 1] if ell else 0
-        s0 = self.lsp[rp] if rp < self.n else 0
-        return ell, rp, 1, a, self.sma.step(s0, op.block[0])
+    def _scan(self, op: EditOp) -> tuple[int, int, int, int, int, list[int]]:
+        """(ell, rp, shift, a, bm, inner) as taken by ``_splice``: the
+        automaton reads the block right to left from state lsp[rp], and
+        inner holds the sorted starts of the matches that begin in it."""
+        ell, rp, block = regions(op)
+        m = self.m
+        rows = self.sma.rows
+        k = self.lsp[rp] if rp < self.n else 0
+        inner = []
+        j = len(block)
+        shift = ell + j - rp
+        while j:
+            j -= 1
+            k = rows[k].get(block[j], 0)
+            if k == m:
+                inner.append(ell + j)
+        inner.reverse()
+        return ell, rp, shift, (self.lpf[ell - 1] if ell else 0), k, inner
 
     def occurrences_after_edit(self, op: EditOp) -> list[int]:
         """Sorted pattern starts in the text after the edit."""
         validate_edit(op, self.n, self.text.sigma)
-        return self._splice(*self._seam(op))
+        return self._splice(*self._scan(op))

@@ -23,7 +23,7 @@ from ephemedit.ephemeral_index import (
 )
 from ephemedit.pattern_trees import build_context_groups, build_tree_p, decompose_disjoint
 from ephemedit.pm_block_delete import BlockDeleteMatcher
-from ephemedit.pm_ephemeral_edits import EditMatcher, build_sma
+from ephemedit.pm_ephemeral_edits import EditMatcher, Sma
 from ephemedit.prefix_suffix import ArithmeticProgression, PrefSufIndex
 from ephemedit.reference_oracle import (
     apply_edit,
@@ -204,7 +204,7 @@ def test_criterion_8_sparse_automaton():
         m = rng.randint(1, 64)
         sigma = rng.randint(2, 8)
         w = [rng.randrange(sigma) for _ in range(m)]
-        sma = build_sma(w)
+        sma = Sma(w)
         assert sma.stored <= 2 * m, (w, sma.stored)
         for k in range(m + 1):
             for c in range(sigma):

@@ -187,10 +187,11 @@ def test_mode_restrictions(files, tmp_path, capsys):
     s.write_bytes(b"I 0 a\n")
     code, _, err = run_cli(capsys, "run", t, p, s, "--mode", "pm-del")
     assert code == 2 and "pm-del" in err
+    # pm-edit takes blocks of any length.
     s2 = tmp_path / "wide.txt"
     s2.write_bytes(b"I 0 ab\nD 2 5\n")
-    code, _, err = run_cli(capsys, "run", t, p, s2, "--mode", "pm-edit")
-    assert code == 2 and ":1" in err
+    code, out, err = run_cli(capsys, "run", t, p, s2, "--mode", "pm-edit", "--verify")
+    assert code == 0 and err == "" and len(out.splitlines()) == 2
 
 
 def test_empty_inputs_rejected(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Both pattern-matching engines on adversarial text families at n in
 [300, 2000]: the junction tables and occurrence starts against brute
-force, and every edit kind against the reference oracle."""
+force, and every edit kind against the reference oracle, with inserted
+and substituted blocks of 1-8 letters."""
 
 import random
 
@@ -70,6 +71,40 @@ def ops_for(rng: random.Random, n: int, starts: list[int], alphabet: list[int]):
     return ops
 
 
+def block_ops_for(rng: random.Random, n: int, pattern: list[int], starts: list[int], alphabet: list[int]):
+    """Inserts and substitutes with blocks of 1-8 letters: random ones,
+    pattern factors and pattern factors with one letter changed, at both
+    text ends and near occurrences."""
+    m = len(pattern)
+
+    def block():
+        k = rng.randint(1, 8)
+        if rng.random() < 0.6:
+            k = min(k, m)
+            j = rng.randrange(m - k + 1)
+            out = list(pattern[j : j + k])
+            if rng.random() < 0.3:
+                out[rng.randrange(k)] = rng.choice(alphabet)
+            return tuple(out)
+        return tuple(rng.choice(alphabet) for _ in range(k))
+
+    def near():
+        if starts and rng.random() < 0.7:
+            return min(n - 1, max(0, rng.choice(starts) + rng.randint(-8, 8)))
+        return rng.randrange(n)
+
+    ops = []
+    for _ in range(4):
+        b = block()
+        ops += [Insert(-1, b), Insert(0, b), Insert(n - 2, b), Insert(n - 1, b),
+                Substitute(0, b), Substitute(1, b), Substitute(n - len(b), b)]
+    for _ in range(16):
+        b = block()
+        q = near()
+        ops += [Insert(q - 1, b), Substitute(min(q, n - len(b)), b)]
+    return ops
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_tables_and_edits_on_adversarial_texts(family):
     rng = random.Random(f"adversarial/{family}")
@@ -83,8 +118,10 @@ def test_tables_and_edits_on_adversarial_texts(family):
         assert list(em.idx) == starts
         assert list(em.lpf) == brute_lpf(text, pattern)
         assert list(em.lsp) == brute_lsp(text, pattern)
-        for op in ops_for(rng, n, starts, sorted(set(pattern)) + [rng.randrange(sigma)]):
+        alphabet = sorted(set(pattern)) + [rng.randrange(sigma)]
+        for op in ops_for(rng, n, starts, alphabet) + block_ops_for(rng, n, pattern, starts, alphabet):
             want = occurrences_after_oracle(text, pattern, op)
             assert em.occurrences_after_edit(op) == want, (pattern, op)
             if isinstance(op, Delete):
                 assert em.occurrences_after_delete(op.first, op.last) == want, (pattern, op)
+

@@ -54,6 +54,15 @@ def test_bad_ranges_rejected(matcher):
             matcher.occurrences_after_delete(first, last)
 
 
+@pytest.mark.parametrize("first, last, name", [(True, 2, "first"), (1.0, 2, "first"),
+                                               (1, 2.0, "last"), (0, False, "last"),
+                                               ("1", 2, "first")])
+def test_positions_must_be_ints(matcher, first, last, name):
+    # True would be read as 1 and a float would fail inside the query.
+    with pytest.raises(ValueError, match=f"position {name} must be an int"):
+        matcher.occurrences_after_delete(first, last)
+
+
 def test_differential_random():
     rng = random.Random(77)
     for _ in range(150):

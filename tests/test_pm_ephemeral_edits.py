@@ -1,4 +1,4 @@
-"""Matcher specialized to one provisional single-letter edit."""
+"""Matcher for one provisional insert, delete or substitute."""
 
 import random
 
@@ -6,7 +6,7 @@ import pytest
 
 from ephemedit.edits import Delete, Insert, Substitute
 from ephemedit.pm_block_delete import BlockDeleteMatcher
-from ephemedit.pm_ephemeral_edits import EditMatcher, build_sma
+from ephemedit.pm_ephemeral_edits import EditMatcher, Sma
 from ephemedit.reference_oracle import occurrences_after_oracle
 from ephemedit.text_core import AlphabetError, Text
 
@@ -32,11 +32,30 @@ def test_substitute_and_delete(matcher):
     )
 
 
-def test_rejects_longer_blocks(matcher):
-    with pytest.raises(ValueError):
-        matcher.occurrences_after_edit(Insert(0, b"ab"))
-    with pytest.raises(ValueError):
-        matcher.occurrences_after_edit(Substitute(0, b"ab"))
+def test_longer_blocks_match_oracle(matcher):
+    # Every insert and substitute of 2-8 letters over {a, b} on the worked
+    # text, then random blocks on random texts.
+    for blen in range(2, 9):
+        for code in range(1 << blen):
+            block = tuple(b"ab"[(code >> i) & 1] for i in range(blen))
+            for op in [Insert(q, block) for q in range(-1, len(TEXT))] + [
+                Substitute(q, block) for q in range(len(TEXT) - blen + 1)
+            ]:
+                want = occurrences_after_oracle(TEXT, PAT, op)
+                assert matcher.occurrences_after_edit(op) == want, op
+    rng = random.Random(41)
+    for _ in range(100):
+        sigma = rng.choice([2, 3])
+        n = rng.randint(8, 40)
+        m = rng.randint(1, 8)
+        t = [rng.randrange(sigma) for _ in range(n)]
+        p = [rng.randrange(sigma) for _ in range(m)]
+        em = EditMatcher(Text(t, sigma), p)
+        for _ in range(20):
+            block = tuple(rng.randrange(sigma) for _ in range(rng.randint(2, 8)))
+            op = (Insert(rng.randint(-1, n - 1), block) if rng.random() < 0.5
+                  else Substitute(rng.randint(0, n - len(block)), block))
+            assert em.occurrences_after_edit(op) == occurrences_after_oracle(t, p, op), (t, p, op)
 
 
 def test_multi_letter_delete_still_works(matcher):
@@ -65,7 +84,7 @@ def test_sma_full_transition_function():
         m = rng.randint(1, 24)
         sigma = rng.choice([2, 3, 5])
         w = [rng.randrange(sigma) for _ in range(m)]
-        sma = build_sma(w)
+        sma = Sma(w)
         for k in range(m + 1):
             for c in range(sigma + 1):  # one letter past the alphabet too
                 assert sma.step(k, c) == brute_sma_target(w, k, c), (w, k, c)
@@ -74,7 +93,7 @@ def test_sma_full_transition_function():
 
 def test_sma_tracks_scanning():
     w = list(b"abcab")
-    sma = build_sma(w)
+    sma = Sma(w)
     state = 0
     history = []
     for c in b"ababcabcab":
