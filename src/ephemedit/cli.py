@@ -10,9 +10,9 @@ returns its exit code; it needs a checkout of the repository (exit 2
 without one) and takes no options of its own.
 
 Input files hold raw bytes by default (alphabet size 256). With --tokens
-they hold decimal integers separated by ASCII spaces, tabs, CRs and LFs
-instead. Script lines are `I <p> <S>` (insert S after position p, -1
-prepends), `D <q> <p>` (delete the closed range), and `X <p> <S>`
+they hold integers in ASCII digits separated by ASCII spaces, tabs, CRs
+and LFs instead. Script lines are `I <p> <S>` (insert S after position
+p, -1 prepends), `D <q> <p>` (delete the closed range), and `X <p> <S>`
 (overwrite starting at p). In byte mode S is a byte string: `\xHH` is
 the byte with hex value HH and `\\` a backslash, which lets a block hold
 a space, tab or newline; every other byte but a backslash stands for
@@ -49,6 +49,13 @@ class ScriptError(Exception):
         self.line_no = line_no
 
 
+def _decimal(tok: bytes) -> int:
+    """ASCII digits after an optional "-": int() also takes b"1_0" and b"+3"."""
+    if not (tok[1:] if tok[:1] == b"-" else tok).isdigit():
+        raise ValueError(tok)
+    return int(tok)
+
+
 def _read_letters(path: str, tokens: bool) -> list[int]:
     data = Path(path).read_bytes()
     if not tokens:
@@ -60,11 +67,11 @@ def _read_letters(path: str, tokens: bool) -> list[int]:
         if not tok:
             continue
         try:
-            v = int(tok)
+            v = _decimal(tok)
         except ValueError:
             raise ValueError(f"{path}: token {tok.decode('latin-1')!r} is not an integer") from None
-        if v < 0:
-            raise ValueError(f"{path}: negative letter {v}")
+        if tok[:1] == b"-":
+            raise ValueError(f"{path}: negative letter {tok.decode()}")
         out.append(v)
     return out
 
@@ -85,11 +92,12 @@ def _parse_block(tok: bytes, tokens: bool, line_no: int) -> tuple[int, ...]:
             pos = match.end()
             letters.append(int(match[1], 16) if match[1] else tok[pos - 1])
         return tuple(letters)
+    fields = tok.split(b",")
     try:
-        block = tuple(int(x) for x in tok.split(b","))
+        block = tuple(map(_decimal, fields))
     except ValueError:
         raise ScriptError(line_no, f"bad block {tok.decode('latin-1')!r}") from None
-    if any(v < 0 for v in block):
+    if any(f[:1] == b"-" for f in fields):
         raise ScriptError(line_no, f"negative letter in block {tok.decode('latin-1')!r}")
     return block
 
@@ -111,13 +119,13 @@ def _parse_script(path: str, tokens: bool) -> list[tuple[int, EditOp]]:
             raise ScriptError(line_no, f"cannot parse {shown!r}")
         if kind == b"D":
             try:
-                q, p = int(parts[1]), int(parts[2])
+                q, p = _decimal(parts[1]), _decimal(parts[2])
             except ValueError:
                 raise ScriptError(line_no, f"bad positions in {shown!r}") from None
             ops.append((line_no, Delete(q, p)))
             continue
         try:
-            p = int(parts[1])
+            p = _decimal(parts[1])
         except ValueError:
             raise ScriptError(line_no, f"bad position in {shown!r}") from None
         block = _parse_block(parts[2], tokens, line_no)
@@ -128,14 +136,12 @@ def _parse_script(path: str, tokens: bool) -> list[tuple[int, EditOp]]:
 def _check_op(op: EditOp, mode: str, n: int, sigma: int, epsilon: int, line_no: int) -> None:
     if mode == "pm-del" and not isinstance(op, Delete):
         raise ScriptError(line_no, "pm-del accepts only D operations")
-    if mode == "index" and not isinstance(op, Delete) and len(op.block) > epsilon:
-        raise ScriptError(
-            line_no, f"block of length {len(op.block)} exceeds epsilon={epsilon}"
-        )
     try:
-        validate_edit(op, n, sigma)
+        block = validate_edit(op, n, sigma)[2]
     except ValueError as exc:
         raise ScriptError(line_no, str(exc)) from None
+    if mode == "index" and len(block) > epsilon:
+        raise ScriptError(line_no, f"block of length {len(block)} exceeds epsilon={epsilon}")
 
 
 def _cmd_run(args) -> int:

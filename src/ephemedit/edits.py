@@ -9,6 +9,10 @@ text of length ``n``.
 * ``Delete(first, last)`` removes the closed range ``[first, last]``.
 * ``Substitute(at, block)`` overwrites ``len(block)`` letters starting at
   ``at`` without changing the length.
+
+`validate_edit` checks an edit against the text and returns its split,
+the one both engines and the command line take: the edited text is
+text[:ell] + block + text[rp:].
 """
 
 from __future__ import annotations
@@ -70,8 +74,10 @@ class Substitute:
 EditOp = Insert | Delete | Substitute
 
 
-def validate_edit(op: EditOp, n: int, sigma: int | None = None) -> None:
-    """Check that ``op`` is well formed against a text of length ``n``.
+def validate_edit(op: EditOp, n: int, sigma: int | None = None) -> tuple[int, int, tuple[int, ...]]:
+    """Check that ``op`` is well formed against a text of length ``n`` and
+    return its split (ell, rp, block): the edited text is text[:ell] +
+    block + text[rp:], in old coordinates, with the block empty for deletes.
 
     Raises ValueError with a message naming the violated constraint. When
     ``sigma`` is given, block letters must also lie in ``[0, sigma)``.
@@ -84,12 +90,14 @@ def validate_edit(op: EditOp, n: int, sigma: int | None = None) -> None:
         if len(op.block) == 0:
             raise ValueError("insert block must be non-empty")
         _check_block(op.block, sigma)
-    elif isinstance(op, Delete):
+        return op.after + 1, op.after + 1, op.block
+    if isinstance(op, Delete):
         if not 0 <= op.first <= op.last <= n - 1:
             raise ValueError(
                 f"delete range [{op.first}, {op.last}] invalid for n={n}"
             )
-    elif isinstance(op, Substitute):
+        return op.first, op.last + 1, ()
+    if isinstance(op, Substitute):
         if len(op.block) == 0:
             raise ValueError("substitute block must be non-empty")
         if not (0 <= op.at and op.at + len(op.block) <= n):
@@ -98,8 +106,8 @@ def validate_edit(op: EditOp, n: int, sigma: int | None = None) -> None:
                 f"invalid for n={n}"
             )
         _check_block(op.block, sigma)
-    else:
-        raise TypeError(f"not an edit operation: {op!r}")
+        return op.at, op.at + len(op.block), op.block
+    raise TypeError(f"not an edit operation: {op!r}")
 
 
 def _check_block(block: tuple[int, ...], sigma: int | None) -> None:
@@ -109,16 +117,6 @@ def _check_block(block: tuple[int, ...], sigma: int | None) -> None:
         for a in block:
             if a >= sigma:
                 raise ValueError(f"block letter {a} outside [0, {sigma})")
-
-
-def regions(op: EditOp) -> tuple[int, int, tuple[int, ...]]:
-    """(end of L, start of R in old coordinates, block M) for an edit: the
-    edited text is text[:ell] + M + text[rp:], with M empty for deletes."""
-    if isinstance(op, Insert):
-        return op.after + 1, op.after + 1, op.block
-    if isinstance(op, Delete):
-        return op.first, op.last + 1, ()
-    return op.at, op.at + len(op.block), op.block
 
 
 def edited_length(op: EditOp, n: int) -> int:

@@ -14,7 +14,7 @@ substitute, where the pattern would occur in the edited text. Nothing is
 mutated, so edits can be queried in any order.
 
 An edit splits the text into a left part L, a block M (empty for deletes),
-and a right part R, as `edits.regions` gives them for both engines.
+and a right part R, as `edits.validate_edit` returns them once checked.
 Occurrences inside L and inside R are two bisect slices of the sorted
 starts, joined in text order, with no sort, by the block-delete
 matcher's `splice`; those inside M come from a KMP scan of the block.
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .edits import Delete, EditOp, regions, validate_edit
+from .edits import EditOp, validate_edit
 from .pattern_trees import context_group_rows, flatten_laminar
 from .predecessor_sets import PredSet
 from .pm_block_delete import splice
@@ -126,7 +126,7 @@ class PatternHandle:
         self.main_fwd = _decomposition(lo, hi, n)
         self.word = tuple(pat)
         self.key_len, self.groups, *rows = context_group_rows(pat, lo, hi, epsilon, n)
-        self.group_set = PredSet(zip(*rows), max(1, len(self.groups)) * n)
+        self.group_set = PredSet(*rows, max(1, len(self.groups)) * n)
         rev_pat = pat[::-1]
         self.rev_pattern = rev_pat
         self.main_rev = _decomposition(*eti.rev.suffix_intervals(rev_pat), n)
@@ -142,7 +142,7 @@ def _decomposition(lo: np.ndarray, hi: np.ndarray, n: int) -> PredSet:
     flattened so that the piece covering a rank names the longest
     pattern suffix prefixing that rank's text suffix."""
     sfx = np.flatnonzero(lo <= hi)
-    return PredSet(zip(*flatten_laminar(lo[sfx], hi[sfx], sfx)), n)
+    return PredSet(*flatten_laminar(lo[sfx], hi[sfx], sfx), n)
 
 
 def preprocess_pattern(eti: EphemeralTextIndex, pattern, epsilon: int) -> PatternHandle:
@@ -213,14 +213,10 @@ def occurrences_after(ph: PatternHandle, op: EditOp) -> list[int]:
     n = eti.n
     m = ph.m
     pat = ph.pattern
-    validate_edit(op, n, eti.sigma)
-    if not isinstance(op, Delete) and len(op.block) > ph.epsilon:
-        raise ValueError(
-            f"block of length {len(op.block)} exceeds the prepared bound "
-            f"{ph.epsilon}"
-        )
-    ell, rp, block = regions(op)
+    ell, rp, block = validate_edit(op, n, eti.sigma)
     blen = len(block)
+    if blen > ph.epsilon:
+        raise ValueError(f"block of length {blen} exceeds the prepared bound {ph.epsilon}")
     psi = ph.psi
     seam: list[int] = []
 
@@ -266,7 +262,8 @@ def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:
     against the ends of L and of the block.
     """
     starts = occurrences_after(ph, op)
-    ell, _, block = regions(op)
+    # occurrences_after has checked the op; this call only splits it.
+    ell, _, block = validate_edit(op, ph.eti.n)
     r = ell + len(block)
     m = ph.m
     out: dict[str, list[int]] = {

@@ -6,17 +6,18 @@ family, given as int64 columns, into disjoint pieces with one numpy sort
 and one stack pass (`_flatten_longest`), the innermost interval winning,
 so that the piece covering a rank names the longest member suffix that
 is a prefix of that rank's text suffix. Every flattening in the package
-goes through it. The index flattens the occurring suffixes straight from
-the columns that `TextIndex.suffix_intervals` returns; backward search
-already guarantees the nesting.
+goes through it, and `PredSet` takes its columns as they are. The index
+flattens the occurring suffixes straight from the columns that
+`TextIndex.suffix_intervals` returns; backward search already
+guarantees the nesting.
 
 Context groups flatten per context: only suffixes immediately preceded
 in the pattern by a given short word take part, which is what queries
 about an inserted block need. `context_group_rows`, which the index uses,
 keys only the words up to the pattern's key length, past which every
 group has a single member; it shifts group gid's ranks by gid * n so
-that all groups form one laminar family, flattened at once into three
-integer columns.
+that all groups form one laminar family, flattened at once into the three
+columns of one predecessor set.
 
 The rest is the reference the tests, acceptance criterion 2 and the
 walkthrough demo check the index against; the index calls none of it.

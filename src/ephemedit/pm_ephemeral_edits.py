@@ -13,7 +13,7 @@ that starts in L and ends past it (Knuth, Morris and Pratt 1977).
 
 from __future__ import annotations
 
-from .edits import EditOp, regions, validate_edit
+from .edits import EditOp, validate_edit
 from .pm_block_delete import BlockDeleteMatcher
 from .prefix_suffix import border_array
 
@@ -27,7 +27,7 @@ class Sma:
     2 * len(word) entries in all.
     """
 
-    __slots__ = ("word", "m", "rows")
+    __slots__ = ("rows",)
 
     def __init__(self, word):
         w = [int(c) for c in word]
@@ -41,8 +41,6 @@ class Sma:
             if k < m:
                 d[w[k]] = k + 1
             rows.append(d)
-        self.word = w
-        self.m = m
         self.rows = rows
 
     def step(self, state: int, letter: int) -> int:
@@ -68,14 +66,12 @@ class EditMatcher(BlockDeleteMatcher):
         a is the longest pattern prefix ending where L ends; bm the longest
         pattern suffix starting the block followed by R.
         """
-        validate_edit(op, self.n, self.text.sigma)
-        return self._scan(op)[3:5]
+        return self._scan(*validate_edit(op, self.n, self.text.sigma))[3:5]
 
-    def _scan(self, op: EditOp) -> tuple[int, int, int, int, int, list[int]]:
-        """(ell, rp, shift, a, bm, inner) as taken by ``_splice``: the
-        automaton reads the block right to left from state lsp[rp], and
+    def _scan(self, ell: int, rp: int, block) -> tuple[int, int, int, int, int, list[int]]:
+        """``_splice``'s (ell, rp, shift, a, bm, inner) for a checked split:
+        the automaton reads the block right to left from state lsp[rp], and
         inner holds the sorted starts of the matches that begin in it."""
-        ell, rp, block = regions(op)
         m = self.m
         rows = self.sma.rows
         k = self.lsp[rp] if rp < self.n else 0
@@ -92,5 +88,4 @@ class EditMatcher(BlockDeleteMatcher):
 
     def occurrences_after_edit(self, op: EditOp) -> list[int]:
         """Sorted pattern starts in the text after the edit."""
-        validate_edit(op, self.n, self.text.sigma)
-        return self._splice(*self._scan(op))
+        return self._splice(*self._scan(*validate_edit(op, self.n, self.text.sigma)))

@@ -5,10 +5,10 @@ with the pattern suffix that produced them. At query time they need the interval
 covering a given rank, if any. Keys are the interval starts; a predecessor
 search plus one end comparison answers the cover question.
 
-Entries live in three flat `array('q')` columns (starts, ends, suffix
-starts), sorted by start, and a lookup is one `bisect_right` over the
-starts: O(log k) for k entries, in O(k) space. The columns hold machine
-ints, so the garbage collector tracks nothing per entry.
+Entries come in and live as three `array('q')` columns (starts, ends,
+suffix starts), sorted by start and checked by numpy, and a lookup is
+one `bisect_right` over the starts: O(log k) for k entries, in O(k)
+space. The garbage collector tracks nothing per entry.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from typing import NamedTuple
+
+import numpy as np
 
 
 class IntervalEntry(NamedTuple):
@@ -36,30 +38,28 @@ class PredSet:
 
     __slots__ = ("starts", "ends", "suffix_starts", "universe")
 
-    def __init__(self, entries, universe: int):
-        """``entries``: (start, end, suffix start) triples, IntervalEntry
-        or plain tuples, sorted and disjoint."""
+    def __init__(self, starts, ends, suffix_starts, universe: int):
+        """Entry k is the interval [starts[k], ends[k]] decorated with
+        suffix_starts[k]; entries must be sorted and disjoint."""
         if universe < 1:
             raise ValueError(f"universe must be >= 1, got {universe}")
-        starts = array("q")
-        ends = array("q")
-        suffix_starts = array("q")
-        add_start, add_end, add_suffix = starts.append, ends.append, suffix_starts.append
-        prev_end = -1
-        for e in entries:
-            start, end, suffix_start = e
-            if not (0 <= start <= end < universe):
-                raise ValueError(f"entry {e} outside universe [0, {universe})")
-            if start <= prev_end:
-                raise ValueError(f"entries not sorted and disjoint at {e}")
-            prev_end = end
-            add_start(start)
-            add_end(end)
-            add_suffix(suffix_start)
-        self.starts = starts
-        self.ends = ends
-        self.suffix_starts = suffix_starts
+        self.starts = array("q", starts)
+        self.ends = array("q", ends)
+        self.suffix_starts = array("q", suffix_starts)
         self.universe = universe
+        if not len(self.starts) == len(self.ends) == len(self.suffix_starts):
+            raise ValueError("starts, ends and suffix starts differ in length")
+        s = np.frombuffer(self.starts, np.int64)
+        e = np.frombuffer(self.ends, np.int64)
+        outside = (s < 0) | (s > e) | (e >= universe)
+        # Entry k must start past entry k - 1's end.
+        bad = np.flatnonzero(outside | (s <= np.append(-1, e[:-1])))
+        if len(bad):
+            k = bad[0]
+            entry = IntervalEntry(*(int(col[k]) for col in (s, e, self.suffix_starts)))
+            if outside[k]:
+                raise ValueError(f"entry {entry} outside universe [0, {universe})")
+            raise ValueError(f"entries not sorted and disjoint at {entry}")
 
     def predecessor_index(self, q: int) -> int:
         """Index of the entry with the greatest start <= q, or -1."""

@@ -310,15 +310,15 @@ class TextIndex:
     grouped by the code of their BWT letter, ascending within a group,
     and code c's group runs from `bwt_start[c]` to `bwt_start[c + 1]`.
     A letter's code is its rank, from 1, in `alphabet`, the sorted list of
-    distinct letters.
+    distinct letters. Of the text it keeps only the length `n`.
     """
 
-    __slots__ = ("text", "sa", "isa", "alphabet", "bwt_rows", "bwt_start")
+    __slots__ = ("n", "sa", "isa", "alphabet", "bwt_rows", "bwt_start")
 
     def __init__(self, text: Text):
         if len(text) == 0:
             raise ValueError("cannot index an empty text")
-        self.text = text
+        self.n = len(text)
         codes, self.alphabet = _dense_codes(text.letters)
         self.sa = array("i", suffix_array(text.letters))
         sa = np.frombuffer(self.sa, np.int32)
@@ -330,10 +330,6 @@ class TextIndex:
         rows = np.argsort(bwt, kind="stable").astype(np.int32)
         self.bwt_rows = array("i", rows.tobytes())
         self.bwt_start = array("i", [0, *np.cumsum(np.bincount(bwt)).tolist()])
-
-    @property
-    def n(self) -> int:
-        return len(self.text)
 
     def report_starts(self, interval: SaInterval, lo: int) -> list[int]:
         """The starts within ``interval`` that are at least ``lo``, by one

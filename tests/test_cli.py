@@ -163,6 +163,32 @@ def test_token_file_splits_on_ascii_space_only(tmp_path, capsys):
     assert "t.tok: token '1\\xa02' is not an integer" in err
 
 
+@pytest.mark.parametrize(
+    "name, data, message",
+    [
+        ("t.tok", b"1_0 2 1", "t.tok: token '1_0' is not an integer"),
+        ("t.tok", b"1 2 +1", "t.tok: token '+1' is not an integer"),
+        ("t.tok", b"1 -0 1", "t.tok: negative letter -0"),
+        ("p.tok", b"1_1", "p.tok: token '1_1' is not an integer"),
+        ("s.tok", b"I +1 1\n", "s.tok:1: bad position in 'I +1 1'"),
+        ("s.tok", b"D 0 0\nD 0 1_0\n", "s.tok:2: bad positions in 'D 0 1_0'"),
+        ("s.tok", b"X 1 1\nI 1 1_1\n", "s.tok:2: bad block '1_1'"),
+        ("s.tok", b"I 1 1,+1\n", "s.tok:1: bad block '1,+1'"),
+        ("s.tok", b"I 1 1,-0\n", "s.tok:1: negative letter in block '1,-0'"),
+    ],
+)
+def test_tokens_are_ascii_digits_only(tmp_path, capsys, name, data, message):
+    """int() reads "1_0" as 10 and "+3" as 3; the command refuses both,
+    naming the file or line and the token."""
+    files = {"t.tok": b"1 2 1", "p.tok": b"1", "s.tok": b"D 0 0\n", name: data}
+    for file_name, content in files.items():
+        (tmp_path / file_name).write_bytes(content)
+    args = [tmp_path / f for f in ("t.tok", "p.tok", "s.tok")]
+    code, out, err = run_cli(capsys, "run", *args, "--tokens", "--verify")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_position_violation_reports_line(files, tmp_path, capsys):
     t, p, _ = files
     s = tmp_path / "oob.txt"

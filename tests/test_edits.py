@@ -51,6 +51,27 @@ def test_validate_substitute_bounds():
         validate_edit(Substitute(-1, (1,)), 5)
 
 
+def test_validate_returns_the_split_at_both_text_ends():
+    """The edited text is text[:ell] + block + text[rp:] for the split
+    (ell, rp, block) that validate_edit returns."""
+    text = [0, 1, 2, 3, 4]
+    n = len(text)
+    cases = [
+        (Insert(-1, (7, 8)), (0, 0, (7, 8)), [7, 8, 0, 1, 2, 3, 4]),
+        (Insert(n - 1, (7,)), (n, n, (7,)), [0, 1, 2, 3, 4, 7]),
+        (Delete(0, n - 1), (0, n, ()), []),
+        (Delete(0, 0), (0, 1, ()), [1, 2, 3, 4]),
+        (Delete(n - 1, n - 1), (n - 1, n, ()), [0, 1, 2, 3]),
+        (Substitute(0, (9,)), (0, 1, (9,)), [9, 1, 2, 3, 4]),
+        (Substitute(n - 2, (7, 8)), (n - 2, n, (7, 8)), [0, 1, 2, 7, 8]),
+    ]
+    for op, split, edited in cases:
+        ell, rp, block = validate_edit(op, n, sigma=10)
+        assert (ell, rp, block) == split, op
+        assert text[:ell] + list(block) + text[rp:] == edited, op
+        assert len(edited) == edited_length(op, n), op
+
+
 def test_validate_checks_block_alphabet():
     validate_edit(Insert(0, (3,)), 5, sigma=4)
     with pytest.raises(ValueError):

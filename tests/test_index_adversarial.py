@@ -21,12 +21,12 @@ from ephemedit.ephemeral_index import (
 )
 from ephemedit.pattern_trees import build_context_groups, build_tree_p, decompose_disjoint
 from ephemedit.pm_ephemeral_edits import EditMatcher
-from ephemedit.predecessor_sets import PredSet
 from ephemedit.reference_oracle import naive_search, occurrences_after_oracle
 from ephemedit.suffix_tree import build_suffix_tree, matching_statistics
 from ephemedit.text_core import Text
 
 from families import fibonacci_word, huge_alphabet, periodic_with_noise, square
+from test_predecessor_sets import pred_set
 from test_text_core import scanned_intervals
 
 
@@ -118,9 +118,12 @@ def test_main_sets_match_tree_decomposition(family, doubled):
     occurring = 0
     for pattern in patterns_for(rng, text, sigma):
         ph = preprocess_pattern(eti, pattern, epsilon)
-        for got, index, p in ((ph.main_fwd, eti.fwd, pattern), (ph.main_rev, eti.rev, pattern[::-1])):
-            intervals = scanned_intervals(index.text.letters, index.sa, p)
-            want = PredSet(decompose_disjoint(build_tree_p(p, intervals)), n)
+        for got, index, letters, p in (
+            (ph.main_fwd, eti.fwd, text, pattern),
+            (ph.main_rev, eti.rev, text[::-1], pattern[::-1]),
+        ):
+            intervals = scanned_intervals(letters, index.sa, p)
+            want = pred_set(decompose_disjoint(build_tree_p(p, intervals)), n)
             occurring += len(want.starts)
             assert (got.starts, got.ends, got.suffix_starts, got.universe) == (
                 want.starts, want.ends, want.suffix_starts, want.universe
@@ -290,7 +293,7 @@ def test_packed_groups_match_one_set_per_group():
         assert_key_len(ph, pattern, occurring)
         assert set(ph.groups) == {word for word in groups if len(word) <= ph.key_len}
         for word in set(groups) | absent_words(rng, set(groups), sigma, epsilon):
-            own = PredSet(groups.get(word, []), n)
+            own = pred_set(groups.get(word, []), n)
             base = ph.groups.get(word[-ph.key_len :], 0) * n
             long_lookups += len(word) > ph.key_len
             # Ranks 0 and n - 1 sit next to the neighbouring groups' keys.

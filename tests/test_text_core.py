@@ -175,12 +175,13 @@ def test_sa_interval():
     assert len(EMPTY_INTERVAL) == 0
 
 
-def rank_interval(idx: TextIndex, pattern: list[int]) -> SaInterval:
-    """Rank interval of a pattern by scanning the suffix array."""
+def rank_interval(letters: list[int], idx: TextIndex, pattern: list[int]) -> SaInterval:
+    """Rank interval of a pattern by scanning the suffix array of
+    ``idx``, the index of ``letters``."""
     ranks = [
         r
         for r in range(idx.n)
-        if idx.text.letters[idx.sa[r] : idx.sa[r] + len(pattern)] == pattern
+        if letters[idx.sa[r] : idx.sa[r] + len(pattern)] == pattern
     ]
     if not ranks:
         return EMPTY_INTERVAL
@@ -191,14 +192,14 @@ def rank_interval(idx: TextIndex, pattern: list[int]) -> SaInterval:
 def test_report_starts_on_example():
     # Reported positions come back in walk order, so compare sorted.
     idx = TextIndex(Text(EXAMPLE))
-    ana = rank_interval(idx, list(b"ana"))
+    ana = rank_interval(EXAMPLE, idx, list(b"ana"))
     assert ana == SaInterval(4, 7)
     assert sorted(idx.report_starts(ana, 0)) == [0, 2, 11, 14]
     assert sorted(idx.report_starts(ana, 3)) == [11, 14]
     assert idx.report_starts(ana, 14) == [14]
     assert idx.report_starts(ana, 15) == []
     assert idx.report_starts(EMPTY_INTERVAL, 0) == []
-    ban = rank_interval(idx, list(b"ban"))
+    ban = rank_interval(EXAMPLE, idx, list(b"ban"))
     assert ban == SaInterval(9, 10)
     # sa[4..6] = 14, 11, 2; only position 2 falls below 3.
     assert sorted(idx.report_starts(SaInterval(4, 6), 2)) == [2, 11, 14]
@@ -277,7 +278,7 @@ def check_suffix_intervals(letters: list[int], sigma: int, patterns) -> None:
 def test_suffix_intervals_on_example():
     idx = TextIndex(Text(EXAMPLE))
     got = intervals(idx, list(b"xbana"))
-    assert got[1:] == [rank_interval(idx, list(b"bana"[i:])) for i in range(4)]
+    assert got[1:] == [rank_interval(EXAMPLE, idx, list(b"bana"[i:])) for i in range(4)]
     assert got[0] == EMPTY_INTERVAL  # "x" is not in the text
     assert intervals(idx, list(b"ana"))[0] == SaInterval(4, 7)
     twice = intervals(idx, EXAMPLE + EXAMPLE)
