@@ -2,9 +2,9 @@ r"""Command line front end.
 
 `ephemedit run` executes an edit script against a text and pattern under
 one of the three engines and prints one line of sorted occurrence
-positions per operation. `--mode index` takes blocks of up to
-`--epsilon` letters, `pm-del` only deletes, and `pm-edit` any line with
-blocks of any length. `ephemedit bench ARGS...` runs the benchmark,
+positions per operation. `--mode index` prepares the pattern for the
+script's longest block, `pm-del` only deletes, and `pm-edit` any line
+with blocks of any length. `ephemedit bench ARGS...` runs the benchmark,
 `perfbench/run.py ARGS...`, in a separate process with this interpreter and
 returns its exit code; it needs a checkout of the repository (exit 2
 without one) and takes no options of its own.
@@ -133,15 +133,14 @@ def _parse_script(path: str, tokens: bool) -> list[tuple[int, EditOp]]:
     return ops
 
 
-def _check_op(op: EditOp, mode: str, n: int, sigma: int, epsilon: int, line_no: int) -> None:
+def _check_op(op: EditOp, mode: str, n: int, sigma: int, line_no: int) -> int:
+    """The op's block length, once the op is checked."""
     if mode == "pm-del" and not isinstance(op, Delete):
         raise ScriptError(line_no, "pm-del accepts only D operations")
     try:
-        block = validate_edit(op, n, sigma)[2]
+        return len(validate_edit(op, n, sigma)[2])
     except ValueError as exc:
         raise ScriptError(line_no, str(exc)) from None
-    if mode == "index" and len(block) > epsilon:
-        raise ScriptError(line_no, f"block of length {len(block)} exceeds epsilon={epsilon}")
 
 
 def _cmd_run(args) -> int:
@@ -173,8 +172,8 @@ def _cmd_run(args) -> int:
 
     n = len(text)
     try:
-        for line_no, op in script:
-            _check_op(op, args.mode, n, sigma, args.epsilon, line_no)
+        epsilon = max((_check_op(op, args.mode, n, sigma, line_no) for line_no, op in script),
+                      default=0)
     except ScriptError as exc:
         print(f"{args.script}:{exc.line_no}: {exc}", file=sys.stderr)
         return 2
@@ -183,7 +182,7 @@ def _cmd_run(args) -> int:
         tx = Text(text, sigma)
         if args.mode == "index":
             eti = preprocess_text(tx)
-            ph = preprocess_pattern(eti, pattern, args.epsilon)
+            ph = preprocess_pattern(eti, pattern, epsilon)
             answer = lambda op: occurrences_after(ph, op)
         elif args.mode == "pm-del":
             bd = BlockDeleteMatcher(tx, pattern)
@@ -232,8 +231,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--mode", choices=MODES, default="index")
     run_p.add_argument("--tokens", action="store_true",
                        help="files hold whitespace-separated integers, not bytes")
-    run_p.add_argument("--epsilon", type=int, default=4,
-                       help="largest block length prepared for (index mode)")
     run_p.add_argument("--verify", action="store_true",
                        help="cross-check every line against the oracle")
 

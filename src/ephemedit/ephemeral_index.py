@@ -1,17 +1,18 @@
 """Pattern occurrences under a single provisional edit of an indexed text.
 
-`preprocess_text` indexes a text once, forward and reversed: a suffix
-array, its inverse and a rank table over the Burrows-Wheeler transform
-per direction. `preprocess_pattern` then prepares one pattern against
-that index, reading the suffix-array interval of each pattern suffix off
-backward search as lo and hi columns, flattening those columns into
-predecessor sets with no tree of the pattern's suffixes, and sorting its
-occ starts in the text, in O(occ log occ) time. The starts are kept as a
-list of ints, boxed once at setup, and as an int32 array: about 40 bytes
-each, so a pattern takes O(m) space only while occ = O(m).
-`occurrences_after` answers, for any single insert, delete, or
-substitute, where the pattern would occur in the edited text. Nothing is
-mutated, so edits can be queried in any order.
+`preprocess_text` ranks a text's letters once and indexes the codes,
+keeping no letters: forward and reversed, a suffix array, its inverse
+and a rank table over the Burrows-Wheeler transform.
+`preprocess_pattern` then prepares one pattern against that index,
+reading the suffix-array interval of each pattern suffix off backward
+search as lo and hi columns, flattening those columns into predecessor
+sets with no tree of the pattern's suffixes, and sorting its occ starts
+in the text, in O(occ log occ) time. The starts are kept as a list of
+ints, boxed once at setup, and as an int32 array: about 40 bytes each,
+so a pattern takes O(m) space only while occ = O(m). `occurrences_after`
+answers, for any single insert, delete, or substitute, where the pattern
+would occur in the edited text. Nothing is mutated, so edits can be
+queried in any order.
 
 An edit splits the text into a left part L, a block M (empty for deletes),
 and a right part R, as `edits.validate_edit` returns them once checked.
@@ -44,20 +45,20 @@ from .pm_block_delete import splice
 from .prefix_suffix import PrefSufIndex
 # Read by perfbench only; ROADMAP direction 1 removes it.
 from .suffix_tree import matching_statistics  # noqa: F401
-from .text_core import AlphabetError, Text, TextIndex, pattern_letters
+from .text_core import AlphabetError, Text, TextIndex, dense_codes, pattern_letters
 
 
 class EphemeralTextIndex:
-    """Forward and reversed text indexes over one immutable text."""
+    """Forward and reversed indexes of one ranking of a text's letters."""
 
-    __slots__ = ("text", "n", "sigma", "fwd", "rev", "st_fwd", "st_rev")
+    __slots__ = ("n", "sigma", "fwd", "rev", "st_fwd", "st_rev")
 
     def __init__(self, text: Text):
-        self.text = text
         self.n = len(text)
         self.sigma = text.sigma
-        self.fwd = TextIndex(text)
-        self.rev = TextIndex(text.reversed())
+        codes, alphabet = dense_codes(text.letters)
+        self.fwd = TextIndex(codes, alphabet)
+        self.rev = TextIndex(codes[::-1], alphabet)
         self.st_fwd = None  # read by perfbench; ROADMAP direction 1 removes it
         self.st_rev = None  # read by perfbench; ROADMAP direction 1 removes it
 

@@ -81,10 +81,10 @@ class BlockDeleteMatcher:
     of text[j:]; `lpf[p]` the length of the longest pattern prefix that is
     a suffix of text[: p + 1]. `idx` holds the sorted starts of the
     pattern in the unedited text as a list, and `idx_np` the same starts
-    as an int32 array.
+    as an int32 array. Of the text it keeps only `n` and `sigma`.
     """
 
-    __slots__ = ("text", "pattern", "n", "m", "idx", "idx_np", "lsp", "lpf", "psi")
+    __slots__ = ("sigma", "pattern", "n", "m", "idx", "idx_np", "lsp", "lpf", "psi")
 
     def __init__(self, text, pattern):
         t = text if isinstance(text, Text) else Text(text)
@@ -92,7 +92,7 @@ class BlockDeleteMatcher:
             raise ValueError("cannot index an empty text")
         pat = pattern_letters(pattern, t.sigma)
         m = len(pat)
-        self.text = t
+        self.sigma = t.sigma
         self.pattern = pat
         self.n = len(t)
         self.m = m

@@ -66,7 +66,7 @@ class EditMatcher(BlockDeleteMatcher):
         a is the longest pattern prefix ending where L ends; bm the longest
         pattern suffix starting the block followed by R.
         """
-        return self._scan(*validate_edit(op, self.n, self.text.sigma))[3:5]
+        return self._scan(*validate_edit(op, self.n, self.sigma))[3:5]
 
     def _scan(self, ell: int, rp: int, block) -> tuple[int, int, int, int, int, list[int]]:
         """``_splice``'s (ell, rp, shift, a, bm, inner) for a checked split:
@@ -88,4 +88,4 @@ class EditMatcher(BlockDeleteMatcher):
 
     def occurrences_after_edit(self, op: EditOp) -> list[int]:
         """Sorted pattern starts in the text after the edit."""
-        return self._splice(*self._scan(*validate_edit(op, self.n, self.text.sigma)))
+        return self._splice(*self._scan(*validate_edit(op, self.n, self.sigma)))

@@ -61,15 +61,8 @@ class PredSet:
                 raise ValueError(f"entry {entry} outside universe [0, {universe})")
             raise ValueError(f"entries not sorted and disjoint at {entry}")
 
-    def predecessor_index(self, q: int) -> int:
-        """Index of the entry with the greatest start <= q, or -1."""
-        if not 0 <= q < self.universe:
-            raise ValueError(f"query {q} outside universe [0, {self.universe})")
-        return bisect_right(self.starts, q) - 1
-
     def cover(self, q: int) -> IntervalEntry | None:
         """The entry whose interval contains q, or None."""
-        # predecessor_index inlined: both engines call this on every query.
         if not 0 <= q < self.universe:
             raise ValueError(f"query {q} outside universe [0, {self.universe})")
         idx = bisect_right(self.starts, q) - 1

@@ -35,6 +35,7 @@ from .text_core import (
     EMPTY_INTERVAL,
     SaInterval,
     Text,
+    dense_codes,
     lcp_array,
     pattern_letters,
     suffix_array,
@@ -77,7 +78,8 @@ class SuffixTree:
         if n == 0:
             raise ValueError("cannot build a suffix tree of an empty text")
         if sa is None:
-            sa = suffix_array(letters)
+            # Ranked first: the letters may reach 2^63.
+            sa = suffix_array(dense_codes(letters)[0])
         lcp = lcp_array(letters, sa)
 
         par = [-1]

@@ -8,6 +8,8 @@ tests and demos build; the index builds neither. `TextIndex` keeps no
 range-max table: a prepared pattern sorts the starts of its own
 interval instead.
 
+A text's letters are ranked once, by `dense_codes`, and `TextIndex`
+indexes the codes, so the reversed text takes the same codes reversed.
 DC3 sorts letter triples as single packed int64 keys. A level whose keys
 could reach 2^63, which takes letters beyond 2^21, ranks its letters and
 letter pairs densely first. `TextIndex` holds the suffix array and its
@@ -73,13 +75,6 @@ class Text:
                     )
         self.letters = letters
         self.sigma = sigma
-
-    def reversed(self) -> Text:
-        """The same letters in reverse order, not checked a second time."""
-        out = object.__new__(Text)
-        out.letters = self.letters[::-1]
-        out.sigma = self.sigma
-        return out
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -189,21 +184,25 @@ def _dc3(s: np.ndarray) -> np.ndarray:
     return sa
 
 
-def _dense_codes(letters) -> tuple[np.ndarray, list]:
+def dense_codes(letters) -> tuple[np.ndarray, list]:
     """Each letter's rank among the distinct letters, from 1, as an int64
     array, and the distinct letters in increasing order. Ranks come from
     a dict rather than numpy, so letters need not fit int64."""
     alphabet = sorted(set(letters))
     rank = {c: r for r, c in enumerate(alphabet, 1)}
-    return np.array([rank[c] for c in letters], np.int64), alphabet
+    return np.fromiter(map(rank.__getitem__, letters), np.int64, len(letters)), alphabet
 
 
-def suffix_array(letters) -> list[int]:
-    """Sorted start positions of all suffixes of ``letters``, by DC3 over
-    the ranks of the distinct letters."""
-    if len(letters) == 0:
-        return []
-    return _dc3(_dense_codes(letters)[0]).tolist()
+def suffix_array(letters) -> array:
+    """Sorted start positions of all suffixes of ``letters``, ints in
+    [0, 2^63 - 1), as an int32 ``array('i')``, by DC3 over the letters
+    plus 1, since DC3 pads with 0."""
+    s = np.asarray(letters)
+    if len(s) == 0:
+        return array("i")
+    if s.dtype.kind not in "iu" or s.min() < 0 or s.max() >= 2**63 - 1:
+        raise ValueError("suffix_array takes int letters in [0, 2^63 - 1)")
+    return array("i", _dc3(s.astype(np.int64, copy=False) + 1).astype(np.int32).tobytes())
 
 
 def inverse_permutation(sa) -> array:
@@ -213,7 +212,7 @@ def inverse_permutation(sa) -> array:
     return array("i", isa.tobytes())
 
 
-def lcp_array(letters, sa: list[int]) -> list[int]:
+def lcp_array(letters, sa) -> list[int]:
     """Kasai's algorithm. ``lcp[r]`` is the longest common prefix length of
     the suffixes at ranks ``r - 1`` and ``r``; ``lcp[0] == 0``.
     """
@@ -301,35 +300,40 @@ EMPTY_INTERVAL = SaInterval(0, -1)
 
 class TextIndex:
     """Suffix array, its inverse, and a rank table over the
-    Burrows-Wheeler transform, for one text.
+    Burrows-Wheeler transform, for one text given by its letter codes.
 
-    The rank table has one row per suffix, the empty one included: row 0
-    is the empty suffix and row r + 1 the suffix of rank r. A row's BWT
+    A code is a letter's rank, from 1, in `alphabet`, the sorted distinct
+    letters, as `dense_codes` gives them; other codes are refused. The
+    rank table has one row per suffix, the empty one included: row 0 is
+    the empty suffix and row r + 1 the suffix of rank r. A row's BWT
     letter is the letter before its suffix, the text's last letter for
     row 0 and code 0 for the suffix at 0. `bwt_rows` lists the rows
     grouped by the code of their BWT letter, ascending within a group,
     and code c's group runs from `bwt_start[c]` to `bwt_start[c + 1]`.
-    A letter's code is its rank, from 1, in `alphabet`, the sorted list of
-    distinct letters. Of the text it keeps only the length `n`.
+    Of the text it keeps only the length `n`.
     """
 
     __slots__ = ("n", "sa", "isa", "alphabet", "bwt_rows", "bwt_start")
 
-    def __init__(self, text: Text):
-        if len(text) == 0:
+    def __init__(self, codes, alphabet):
+        codes = np.asarray(codes)
+        if len(codes) == 0:
             raise ValueError("cannot index an empty text")
-        self.n = len(text)
-        codes, self.alphabet = _dense_codes(text.letters)
-        self.sa = array("i", suffix_array(text.letters))
+        if codes.dtype.kind not in "iu" or codes.min() < 1 or codes.max() > len(alphabet):
+            raise ValueError(f"letter codes must be ints in [1, {len(alphabet)}]")
+        self.n = len(codes)
+        self.alphabet = alphabet
+        self.sa = suffix_array(codes)
         sa = np.frombuffer(self.sa, np.int32)
         self.isa = inverse_permutation(sa)
         # Codes on the narrowest dtype let numpy radix-sort them below.
-        bwt = np.empty(len(sa) + 1, np.min_scalar_type(len(self.alphabet)))
+        bwt = np.empty(len(sa) + 1, np.min_scalar_type(len(alphabet)))
         bwt[0] = codes[-1]
         bwt[1:] = np.where(sa > 0, codes[sa - 1], 0)
         rows = np.argsort(bwt, kind="stable").astype(np.int32)
         self.bwt_rows = array("i", rows.tobytes())
-        self.bwt_start = array("i", [0, *np.cumsum(np.bincount(bwt)).tolist()])
+        counts = np.bincount(bwt, minlength=len(alphabet) + 1)
+        self.bwt_start = array("i", np.r_[0, np.cumsum(counts)].astype(np.int32).tobytes())
 
     def report_starts(self, interval: SaInterval, lo: int) -> list[int]:
         """The starts within ``interval`` that are at least ``lo``, by one

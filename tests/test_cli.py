@@ -9,6 +9,7 @@ import pytest
 from ephemedit import cli
 from ephemedit.cli import _parse_script, main
 from ephemedit.edits import Insert, Substitute
+from ephemedit.reference_oracle import occurrences_after_oracle
 
 TEXT = b"ananabannabanaana"
 PATTERN = b"banana"
@@ -197,14 +198,21 @@ def test_position_violation_reports_line(files, tmp_path, capsys):
     assert code == 2 and ":1" in err
 
 
-def test_epsilon_violation(files, tmp_path, capsys):
-    t, p, _ = files
-    s = tmp_path / "wide.txt"
-    s.write_bytes(b"I 0 abcde\n")
-    code, _, err = run_cli(capsys, "run", t, p, s, "--epsilon", "4")
-    assert code == 2 and "epsilon" in err
-    code, out, _ = run_cli(capsys, "run", t, p, s, "--epsilon", "5")
-    assert code == 0 and out == "-\n"
+def test_index_mode_prepares_for_the_longest_block(tmp_path, capsys):
+    """With no epsilon to give, a 40-letter insert and a 40-letter
+    substitute are answered as the oracle answers them."""
+    text = TEXT * 3
+    block = b"bananaxy" * 5
+    ops = [Insert(4, tuple(block)), Substitute(8, tuple(block))]
+    (tmp_path / "t.bin").write_bytes(text)
+    (tmp_path / "p.bin").write_bytes(PATTERN)
+    (tmp_path / "s.txt").write_bytes(b"I 4 %s\nX 8 %s\n" % (block, block))
+    args = [tmp_path / f for f in ("t.bin", "p.bin", "s.txt")]
+    code, out, err = run_cli(capsys, "run", *args, "--mode", "index", "--verify")
+    want = [occurrences_after_oracle(list(text), list(PATTERN), op) for op in ops]
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [" ".join(map(str, w)) for w in want]
+    assert all(len(w) >= 5 for w in want)  # the block spells the pattern 5 times
 
 
 def test_mode_restrictions(files, tmp_path, capsys):

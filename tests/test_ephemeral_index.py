@@ -1,10 +1,12 @@
 """Occurrence reporting under one provisional block edit (the general engine)."""
 
 import random
+import sys
 from bisect import bisect_left, bisect_right
 
 import pytest
 
+from ephemedit import text_core
 from ephemedit.edits import Delete, Insert, Substitute
 from ephemedit.ephemeral_index import (
     occurrence_classes,
@@ -120,6 +122,28 @@ def test_text_sigma_equal_to_a_given_sigma_passes():
     assert occurrences_after(preprocess_pattern(eti, [3, 1], 1), Delete(0, 0)) == [1]
 
 
+def test_preprocess_text_ranks_the_letters_once(monkeypatch):
+    """Both directions index the codes of one ranking, the reversed one
+    as the forward codes reversed."""
+    calls = 0
+    rank = text_core.dense_codes
+
+    def counted(letters):
+        nonlocal calls
+        calls += 1
+        return rank(letters)
+
+    # Every library module that imported the ranking by name.
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("ephemedit") and hasattr(module, "dense_codes"):
+            monkeypatch.setattr(module, "dense_codes", counted)
+    eti = preprocess_text(Text(EXAMPLE, 256))
+    assert calls == 1
+    ph = preprocess_pattern(eti, PATTERN, epsilon=4)
+    assert occurrences_after(ph, Delete(13, 13)) == [10]
+    assert calls == 1
+
+
 def test_bad_positions_rejected(example_handle):
     for op in (Insert(17, b"a"), Delete(3, 17), Substitute(16, b"aa"), Insert(-2, b"a")):
         with pytest.raises(ValueError):
@@ -160,7 +184,8 @@ def test_unedited_occurrences_are_slices_of_the_sorted_starts(op):
     """The matches inside L are the sorted starts up to ell - m and those
     inside R the starts from R's first position on, shifted, also when
     one side is short and the other long."""
-    eti = preprocess_text(Text([i % 3 for i in range(3000)], 3))
+    letters = [i % 3 for i in range(3000)]
+    eti = preprocess_text(Text(letters, 3))
     ph = preprocess_pattern(eti, [0, 1, 2, 0, 1, 2], epsilon=2)
     m = ph.m
     if isinstance(op, Delete):
@@ -172,7 +197,7 @@ def test_unedited_occurrences_are_slices_of_the_sorted_starts(op):
     by = occurrence_classes(ph, op)
     assert by["left"] == list(ph.idx[: bisect_right(ph.idx, ell - m)])
     assert by["right"] == [x + ell + blen - rp for x in ph.idx[bisect_left(ph.idx, rp) :]]
-    assert occurrences_after(ph, op) == occurrences_after_oracle(eti.text.letters, ph.pattern, op)
+    assert occurrences_after(ph, op) == occurrences_after_oracle(letters, ph.pattern, op)
 
 
 @pytest.mark.parametrize(
@@ -181,7 +206,8 @@ def test_unedited_occurrences_are_slices_of_the_sorted_starts(op):
 def test_seam_windows_cost_two_prefix_suffix_queries(monkeypatch, op):
     """One window answers every match that starts in L and reaches past
     it, one more those that start in the block and end in R."""
-    eti = preprocess_text(Text([0, 1] * 20, 2))
+    letters = [0, 1] * 20
+    eti = preprocess_text(Text(letters, 2))
     ph = preprocess_pattern(eti, [0, 1, 0, 1, 0, 1], epsilon=4)
     calls = 0
     query = PrefSufIndex.query
@@ -195,7 +221,7 @@ def test_seam_windows_cost_two_prefix_suffix_queries(monkeypatch, op):
     by = occurrence_classes(ph, op)
     monkeypatch.undo()
     assert calls <= 2
-    assert sorted(sum(by.values(), [])) == occurrences_after_oracle(eti.text.letters, ph.pattern, op)
+    assert sorted(sum(by.values(), [])) == occurrences_after_oracle(letters, ph.pattern, op)
 
 
 def _random_op(rng: random.Random, n: int, sigma: int, epsilon: int):

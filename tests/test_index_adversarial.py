@@ -287,7 +287,7 @@ def test_packed_groups_match_one_set_per_group():
         epsilon = rng.randint(0, 5)
         eti = preprocess_text(Text(text, sigma))
         ph = preprocess_pattern(eti, pattern, epsilon)
-        ms = matching_statistics(build_suffix_tree(eti.text), pattern)
+        ms = matching_statistics(build_suffix_tree(text, sigma), pattern)
         groups = build_context_groups(pattern, ms, epsilon)
         occurring = [i for i in range(m) if not ms.suf_interval[i].is_empty]
         assert_key_len(ph, pattern, occurring)

@@ -12,7 +12,7 @@ from ephemedit.pattern_trees import (
 )
 from ephemedit.predecessor_sets import IntervalEntry
 from ephemedit.suffix_tree import build_suffix_tree, matching_statistics
-from ephemedit.text_core import EMPTY_INTERVAL, SaInterval, Text, TextIndex
+from ephemedit.text_core import EMPTY_INTERVAL, SaInterval, TextIndex, dense_codes
 
 from families import fibonacci_word, periodic_with_noise, square
 
@@ -148,7 +148,7 @@ def test_decomposition_semantics_random():
     for t, p in cases + list(family_cases()):
         n, m = len(t), len(p)
         sigma = max(2, max(t) + 1)
-        idx = TextIndex(Text(t, sigma))
+        idx = TextIndex(*dense_codes(t))
         ms = matching_statistics(build_suffix_tree(t, sigma=sigma), p)
         entries = decompose_disjoint(build_tree_p(p, ms.suf_interval))
         prev_end = -1
@@ -174,7 +174,7 @@ def test_group_semantics_random():
         m = rng.randint(2, 8)
         t = [rng.randrange(2) for _ in range(n)]
         p = [rng.randrange(2) for _ in range(m)]
-        idx = TextIndex(Text(t, 2))
+        idx = TextIndex(*dense_codes(t))
         ms = matching_statistics(build_suffix_tree(t, sigma=2), p)
         groups = build_context_groups(p, ms, max_len=2)
         seen_members = set()

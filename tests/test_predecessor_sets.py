@@ -72,12 +72,6 @@ def test_checks_match_the_entry_loop():
 
 def test_small_hand_case():
     ps = PredSet([2, 6, 9], [4, 6, 12], [7, 1, 3], universe=16)
-    assert ps.predecessor_index(0) == -1
-    assert ps.predecessor_index(2) == 0
-    assert ps.predecessor_index(5) == 0
-    assert ps.predecessor_index(8) == 1
-    assert ps.predecessor_index(15) == 2
-
     assert ps.cover(3) == IntervalEntry(2, 4, 7)
     assert ps.cover(5) is None
     assert ps.cover(6) == IntervalEntry(6, 6, 1)
@@ -88,8 +82,8 @@ def test_small_hand_case():
 
 def test_empty_set_answers_nothing():
     ps = PredSet([], [], [], universe=32)
-    assert ps.predecessor_index(31) == -1
     assert ps.cover(0) is None
+    assert ps.cover(31) is None
 
 
 def test_single_entry_universe_one():
@@ -114,7 +108,6 @@ def test_matches_bisect_small_universe():
         keys = [e.start for e in entries]
         for q in range(universe):
             idx = bisect.bisect_right(keys, q) - 1
-            assert ps.predecessor_index(q) == idx
             want = entries[idx] if idx >= 0 and entries[idx].end >= q else None
             assert ps.cover(q) == want
 
@@ -137,6 +130,5 @@ def test_large_sparse_universe():
     queries += [e.start for e in pruned] + [e.end for e in pruned]
     for q in queries:
         idx = bisect.bisect_right(keys, q) - 1
-        assert ps.predecessor_index(q) == idx
         want = pruned[idx] if idx >= 0 and pruned[idx].end >= q else None
         assert ps.cover(q) == want

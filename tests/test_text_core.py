@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ephemedit import pattern_trees
+from ephemedit import pattern_trees, text_core
 from ephemedit.edits import Delete, Insert, Substitute
 from ephemedit.ephemeral_index import occurrences_after, preprocess_pattern, preprocess_text
 from ephemedit.reference_oracle import occurrences_after_oracle
@@ -21,6 +21,7 @@ from ephemedit.text_core import (
     Text,
     TextIndex,
     _dc3,
+    dense_codes,
     inverse_permutation,
     lcp_array,
     suffix_array,
@@ -40,7 +41,7 @@ def brute_sa(letters: list[int]) -> list[int]:
 
 
 def test_example_suffix_array():
-    assert suffix_array(EXAMPLE) == EXAMPLE_SA
+    assert list(suffix_array(EXAMPLE)) == EXAMPLE_SA
     assert EXAMPLE_SA == brute_sa(EXAMPLE)
 
 
@@ -49,17 +50,17 @@ def test_example_lcp():
 
 
 def test_tiny_suffix_arrays():
-    assert suffix_array([]) == []
-    assert suffix_array([7]) == [0]
-    assert suffix_array(list(b"aaaa")) == [3, 2, 1, 0]
-    assert suffix_array(list(b"banana")) == [5, 3, 1, 0, 4, 2]
+    assert list(suffix_array([])) == []
+    assert list(suffix_array([7])) == [0]
+    assert list(suffix_array(list(b"aaaa"))) == [3, 2, 1, 0]
+    assert list(suffix_array(list(b"banana"))) == [5, 3, 1, 0, 4, 2]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 3), max_size=60))
 def test_suffix_array_matches_brute(letters):
     sa = suffix_array(letters)
-    assert sa == brute_sa(letters)
+    assert list(sa) == brute_sa(letters)
 
 
 @settings(max_examples=100, deadline=None)
@@ -76,20 +77,36 @@ def test_lcp_matches_brute(letters):
         assert lcp[r] == k
 
 
+def family_text(family: str, rng: random.Random, n: int) -> tuple[list[int], int]:
+    """The letters and sigma of one adversarial family at length n."""
+    return {
+        "unary": lambda: ([0] * n, 2),
+        "fibonacci": lambda: (fibonacci_word(n), 3),
+        "periodic": lambda: (periodic_with_noise(rng, n), 5),
+        "square": lambda: (square(rng, n), 4),
+        "huge-sigma": lambda: huge_alphabet(rng, n),
+    }[family]()
+
+
+FAMILIES = ["unary", "fibonacci", "periodic", "square", "huge-sigma"]
+
+
 @pytest.mark.parametrize("n", [1998, 1999, 2000])
-@pytest.mark.parametrize("family", ["unary", "fibonacci", "periodic", "square", "huge-sigma"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_suffix_array_on_adversarial_families(family, n):
     # The three lengths cover each n mod 3 case, and the repetitive
     # families make DC3 recurse many levels deep.
-    rng = random.Random(n)
-    letters = {
-        "unary": lambda: [0] * n,
-        "fibonacci": lambda: fibonacci_word(n),
-        "periodic": lambda: periodic_with_noise(rng, n),
-        "square": lambda: square(rng, n),
-        "huge-sigma": lambda: huge_alphabet(rng, n)[0],
-    }[family]()
-    assert suffix_array(letters) == brute_sa(letters)
+    letters = family_text(family, random.Random(n), n)[0]
+    # Letters at or past 2^63 are ranked first; ranks keep their order.
+    codes = dense_codes(letters)[0] if family == "huge-sigma" else letters
+    assert list(suffix_array(codes)) == brute_sa(letters)
+
+
+@pytest.mark.parametrize("letters", [[-1], [2**63 - 1], [2**63], [0, 2**63 - 1, 1], [-1, 2**63], [0.0]])
+def test_suffix_array_refuses_letters_it_cannot_sort(letters):
+    # DC3 takes the letters plus 1 as int64, so 2^63 - 1 is already out.
+    with pytest.raises(ValueError, match="suffix_array"):
+        suffix_array(letters)
 
 
 @pytest.mark.parametrize("top", [2**21 - 2, 2**21 - 1, 2**21, 2**21 + 1, 2**40])
@@ -191,7 +208,7 @@ def rank_interval(letters: list[int], idx: TextIndex, pattern: list[int]) -> SaI
 
 def test_report_starts_on_example():
     # Reported positions come back in walk order, so compare sorted.
-    idx = TextIndex(Text(EXAMPLE))
+    idx = TextIndex(*dense_codes(EXAMPLE))
     ana = rank_interval(EXAMPLE, idx, list(b"ana"))
     assert ana == SaInterval(4, 7)
     assert sorted(idx.report_starts(ana, 0)) == [0, 2, 11, 14]
@@ -209,7 +226,7 @@ def test_report_starts_on_example():
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=50), st.data())
 def test_report_starts_matches_filter(letters, data):
-    idx = TextIndex(Text(letters, 3))
+    idx = TextIndex(*dense_codes(letters))
     n = len(letters)
     lo = data.draw(st.integers(0, n))
     rlo = data.draw(st.integers(0, n - 1))
@@ -222,11 +239,41 @@ def test_report_starts_matches_filter(letters, data):
 
 def test_text_index_rejects_empty():
     with pytest.raises(ValueError):
-        TextIndex(Text([], 1))
+        TextIndex(*dense_codes([]))
+
+
+@pytest.mark.parametrize("codes", [[0, 1], [1, 3], [2, -1], [1.0, 2.0]])
+def test_text_index_refuses_codes_outside_the_alphabet(codes):
+    with pytest.raises(ValueError, match=r"\[1, 2\]"):
+        TextIndex(codes, [5, 7])
+
+
+def test_text_index_keeps_the_suffix_array_it_gets(monkeypatch):
+    made = []
+
+    def kept(codes):
+        made.append(suffix_array(codes))
+        return made[-1]
+
+    monkeypatch.setattr(text_core, "suffix_array", kept)
+    idx = TextIndex(*dense_codes(EXAMPLE))
+    assert idx.sa is made[0] and len(made) == 1
+    assert idx.sa.typecode == "i" and list(idx.sa) == EXAMPLE_SA
+
+
+@pytest.mark.parametrize("n", [1998, 1999, 2000])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_reversed_index_is_that_of_the_reversed_letters(family, n):
+    # The index reverses the forward codes, a strided view, not the letters.
+    letters, sigma = family_text(family, random.Random(f"reversed/{family}/{n}"), n)
+    rev = preprocess_text(letters, sigma).rev
+    want = TextIndex(*dense_codes(letters[::-1]))
+    for slot in ("sa", "isa", "bwt_rows", "bwt_start", "alphabet"):
+        assert getattr(rev, slot) == getattr(want, slot), slot
 
 
 def test_index_arrays_are_consistent():
-    idx = TextIndex(Text(EXAMPLE))
+    idx = TextIndex(*dense_codes(EXAMPLE))
     assert idx.n == 17
     assert list(idx.sa) == EXAMPLE_SA
     assert lcp_array(EXAMPLE, idx.sa) == EXAMPLE_LCP
@@ -265,9 +312,8 @@ def intervals(idx: TextIndex, pattern) -> list[SaInterval]:
 def check_suffix_intervals(letters: list[int], sigma: int, patterns) -> None:
     """Backward search on the text and on its reversal against matching
     statistics over a suffix tree and against a scan of the suffix array."""
-    text = Text(letters, sigma)
-    for t in (text, text.reversed()):
-        idx = TextIndex(t)
+    for t in (Text(letters, sigma), Text(letters[::-1], sigma)):
+        idx = TextIndex(*dense_codes(t.letters))
         tree = SuffixTree(t, sa=idx.sa)
         for pattern in patterns:
             got = intervals(idx, pattern)
@@ -276,7 +322,7 @@ def check_suffix_intervals(letters: list[int], sigma: int, patterns) -> None:
 
 
 def test_suffix_intervals_on_example():
-    idx = TextIndex(Text(EXAMPLE))
+    idx = TextIndex(*dense_codes(EXAMPLE))
     got = intervals(idx, list(b"xbana"))
     assert got[1:] == [rank_interval(EXAMPLE, idx, list(b"bana"[i:])) for i in range(4)]
     assert got[0] == EMPTY_INTERVAL  # "x" is not in the text
@@ -287,16 +333,10 @@ def test_suffix_intervals_on_example():
 
 
 @pytest.mark.parametrize("n", [1998, 1999, 2000])
-@pytest.mark.parametrize("family", ["unary", "fibonacci", "periodic", "square", "huge-sigma"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_suffix_intervals_on_adversarial_families(family, n):
     rng = random.Random(f"intervals/{family}/{n}")
-    letters, sigma = {
-        "unary": lambda: ([0] * n, 2),
-        "fibonacci": lambda: (fibonacci_word(n), 3),
-        "periodic": lambda: (periodic_with_noise(rng, n), 5),
-        "square": lambda: (square(rng, n), 4),
-        "huge-sigma": lambda: huge_alphabet(rng, n),
-    }[family]()
+    letters, sigma = family_text(family, rng, n)
     present = set(letters)
     absent = next(c for c in range(sigma) if c not in present)
     cuts = []
@@ -330,7 +370,7 @@ def test_suffix_intervals_at_rank_table_dtype_limits(distinct):
         j = rng.randrange(n - m + 1)
         cuts.append(letters[j : j + m])
     patterns = [*cuts, cuts[0][:3] + [2] + cuts[0][3:], [3 * distinct + 1]]
-    idx = TextIndex(Text(letters, 3 * distinct + 2))
+    idx = TextIndex(*dense_codes(letters))
     for pattern in patterns:
         assert intervals(idx, pattern) == scanned_intervals(letters, idx.sa, pattern), pattern
 
