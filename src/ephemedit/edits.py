@@ -20,14 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-def _is_int(x) -> bool:
+def is_int(x) -> bool:
+    """The one rule for positions and letters: an int that is not a bool."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _as_block(letters) -> tuple[int, ...]:
     block = tuple(letters)
     for a in block:
-        if not _is_int(a) or a < 0:
+        if not is_int(a) or a < 0:
             raise ValueError(f"block letters must be non-negative ints, got {a!r}")
     return block
 
@@ -38,7 +39,7 @@ def _check_positions(op, *names: str) -> None:
     inside a query."""
     for name in names:
         value = getattr(op, name)
-        if not _is_int(value):
+        if not is_int(value):
             raise ValueError(f"{type(op).__name__}.{name} must be an int, got {value!r}")
 
 

@@ -17,21 +17,23 @@ queried in any order.
 An edit splits the text into a left part L, a block M (empty for deletes),
 and a right part R, as `edits.validate_edit` returns them once checked.
 Occurrences inside L and inside R are two bisect slices of the sorted
-starts, joined in text order, with no sort, by the block-delete
-matcher's `splice`; those inside M come from a KMP scan of the block.
-The three classes that touch a seam take two windows, each a pattern
-prefix glued to a pattern suffix and answered by `prefix_suffix` as one
-progression. Matches that start in L and reach past it lie in
-P[:a]·P[m-bm:], where a, the longest pattern prefix ending L, comes from
-a predecessor lookup on the reversed index, and bm, the longest pattern
-suffix starting M·R, from the forward one for deletes, else from the
-block's context group, falling back to a reversed KMP scan of the block.
-Groups are keyed by words of up to the pattern's key length, the least
-length at which its context words are distinct: a longer block looks up
-its last key-length letters, whose group has one member, and keeps it
-only if the pattern spells the whole block there. Matches that start in
-M and end in R lie in the window of the longest pattern prefix ending M
-and the longest pattern suffix starting R.
+starts; those inside M come from a KMP scan of the block. The three
+classes that touch a seam take two windows, each a pattern prefix glued
+to a pattern suffix and answered by `prefix_suffix` as one progression.
+Matches that start in L and reach past it lie in P[:a]·P[m-bm:], where
+a, the longest pattern prefix ending L, comes from a predecessor lookup
+on the reversed index, and bm, the longest pattern suffix starting M·R,
+from the forward one for deletes, else from the block's context group,
+falling back to a reversed KMP scan of the block. Groups are keyed by
+words of up to the pattern's key length, the least length at which its
+context words are distinct: a longer block looks up its last key-length
+letters, whose group has one member, and keeps it only if the pattern
+spells the whole block there. Matches that start in M and end in R lie
+in the window of the longest pattern prefix ending M and the longest
+pattern suffix starting R. The query ends in the block-delete matcher's
+`splice`, as the pm matchers do: given a and bm it answers the first
+window, and it joins L's slice, that window's matches, the block's and
+the second window's, and R's slice in text order, with no sort.
 """
 
 from __future__ import annotations
@@ -205,10 +207,11 @@ def _kmp_scan(pat: list[int], borders: list[int], block) -> tuple[list[int], int
 def occurrences_after(ph: PatternHandle, op: EditOp) -> list[int]:
     """Sorted start positions of the pattern in the text after ``op``.
 
-    The window around the end of L, the block's matches and the window
-    around the start of R come in text order between L's starts and R's.
-    Each arm is computed only when a window reads it, so a delete costs
-    one window and one lookup per arm.
+    ``inner`` collects the block's matches and those of the window around
+    the start of R; `splice` answers the window around the end of L from
+    its arms a and bm and joins the parts in text order. Each arm is
+    computed only when a window reads it, so a delete costs one window
+    and one lookup per arm.
     """
     eti = ph.eti
     n = eti.n
@@ -219,12 +222,12 @@ def occurrences_after(ph: PatternHandle, op: EditOp) -> list[int]:
     if blen > ph.epsilon:
         raise ValueError(f"block of length {blen} exceeds the prepared bound {ph.epsilon}")
     psi = ph.psi
-    seam: list[int] = []
 
     # Matches that start in L and reach past it lie in P[:a] + (M + R)[:bm].
     # bm exceeds |M| exactly when a suffix in the block's context group
     # prefixes R; otherwise it is the longest pattern suffix prefixing M.
     a = _left_arm(ph, ell, n) if ell > 0 else 0
+    bm = 0
     if a > 0:
         if not blen:
             bm = _right_arm(ph, rp) if rp < n else 0
@@ -234,21 +237,17 @@ def occurrences_after(ph: PatternHandle, op: EditOp) -> list[int]:
                 bm = blen + m - cov.suffix_start
             else:
                 bm = _kmp_scan(ph.rev_pattern, psi.g, block[::-1])[1]
-        # A window shorter than the pattern holds no match.
-        if a + bm >= m:
-            for t in psi.query(a, bm):
-                if a - m < t < a:
-                    seam.append(ell - a + t)
 
+    inner: list[int] = []
     if blen:
         starts, u = _kmp_scan(pat, psi.f, block)
         for t in starts:
-            seam.append(ell + t)
+            inner.append(ell + t)
         if u > 0 and rp < n:
             for t in psi.query(u, _right_arm(ph, rp)):
                 if u - m < t < u:
-                    seam.append(ell + blen - u + t)
-    return splice(ph.idx, ph.idx_np, m, ell, rp, ell + blen - rp, seam)
+                    inner.append(ell + blen - u + t)
+    return splice(psi, ph.idx, ph.idx_np, ell, rp, ell + blen - rp, a, bm, inner)
 
 
 def occurrence_classes(ph: PatternHandle, op: EditOp) -> dict[str, list[int]]:

@@ -9,11 +9,11 @@ A deletion [first, last] then splits the text into L and R. Occurrences
 inside L or R are two bisect slices of the starts; occurrences crossing
 the seam live inside the window made of the longest pattern prefix that
 ends L glued to the longest pattern suffix that starts R, which is a
-single prefix-suffix query. `splice` joins the slices and the seam's
-matches in text order; the general engine answers through it too. The
-edit matcher answers inserts and substitutes through the same window
-filter, `BlockDeleteMatcher._splice`, adding the matches that start in
-the block.
+single prefix-suffix query. `splice` takes the two arms, answers that
+window and joins L's survivors, the window's matches, any matches that
+start in a block and R's starts in text order. Every query path ends in
+it: this matcher's deletes, the edit matcher's inserts and substitutes,
+and the general engine.
 
 Both engines keep the starts twice: boxed once at setup as a list of ints,
 which `splice` slices without boxing anything, and as an int32 array, which
@@ -29,6 +29,7 @@ from bisect import bisect_left, bisect_right
 
 import numpy as np
 
+from .edits import is_int
 from .prefix_suffix import PrefSufIndex
 from .text_core import Text, pattern_letters
 
@@ -38,17 +39,27 @@ from .text_core import Text, pattern_letters
 _NUMPY_SHIFT = 64
 
 
-def splice(starts: list[int], starts_np: np.ndarray, m: int, ell: int, rp: int,
-           shift: int, seam: list[int]) -> list[int]:
+def splice(psi: PrefSufIndex, starts: list[int], starts_np: np.ndarray, ell: int,
+           rp: int, shift: int, a: int, b: int, inner) -> list[int]:
     """Sorted pattern starts after an edit keeping L = text[:ell] and
-    R = text[rp:], given the sorted unedited ``starts`` (and the same
-    starts as the int32 ``starts_np``), the ``shift`` from R's old
-    positions to its new ones, and ``seam``: the sorted matches that start
-    after ell - m and before R. Every other match lies in L, up to ell - m,
-    or in R, from rp on. The answer is a new list: slices of ``starts``
-    copy the ints boxed at setup, so only a shifted R boxes new ones."""
+    R = text[rp:], given the pattern's prefix-suffix index ``psi``, the
+    sorted unedited ``starts`` (and the same starts as the int32
+    ``starts_np``) and the ``shift`` from R's old positions to its new
+    ones. a is the longest pattern prefix ending L and b the longest
+    pattern suffix starting what follows L: the arms of the seam window,
+    whose matches start after ell - m, where L's survivors stop, and
+    before ``inner``, the sorted matches that start at ell or later and
+    before R. The answer is a new list: slices of ``starts`` copy the
+    ints boxed at setup, so only a shifted R boxes new ones."""
+    m = psi.m
     out = starts[: bisect_right(starts, ell - m)]
-    out += seam
+    # A window shorter than the pattern holds no match. A loop: a
+    # comprehension's own frame cost pm queries a few per cent.
+    if a + b >= m:
+        for t in psi.query(a, b):
+            if a - m < t < a:
+                out.append(ell - a + t)
+    out += inner
     j = bisect_left(starts, rp)
     if not shift:
         out += starts[j:]
@@ -103,36 +114,18 @@ class BlockDeleteMatcher:
         self.idx_np = (ends - (m - 1)).astype(np.int32)
         self.idx = self.idx_np.tolist()
 
-    def _splice(self, ell: int, rp: int, shift: int, a: int, b: int, inner=()) -> list[int]:
-        """Sorted starts in L + M + R, with L = text[:ell], R = text[rp:],
-        ``shift`` from R's old positions to its new ones, and ``inner`` the
-        sorted matches that start in the block M. a is the longest pattern
-        prefix ending L and b the longest pattern suffix starting M + R:
-        the arms of the seam window, whose offset a is where L ends.
-
-        A match that starts in L and ends past it starts before the block
-        and R and ends after L, so it falls strictly between the survivors
-        of L and the matches that start in M or R.
-        """
-        m = self.m
-        # A loop: a comprehension's own frame cost pm queries a few per cent.
-        seam = []
-        for t in self.psi.query(a, b):
-            if a - m < t < a:
-                seam.append(ell - a + t)
-        seam += inner
-        return splice(self.idx, self.idx_np, m, ell, rp, shift, seam)
-
     def occurrences_after_delete(self, first: int, last: int) -> list[int]:
         """Sorted pattern starts in the text with [first, last] removed.
         Both positions must be ints; a bool or float is refused."""
         n = self.n
-        if type(first) is not int:
+        # Exact ints pass on the first test; subclasses such as IntEnum
+        # are ints that are not bools, as `Delete` takes them.
+        if type(first) is not int and not is_int(first):
             raise ValueError(f"delete position first must be an int, got {first!r}")
-        if type(last) is not int:
+        if type(last) is not int and not is_int(last):
             raise ValueError(f"delete position last must be an int, got {last!r}")
         if not 0 <= first <= last <= n - 1:
             raise ValueError(f"delete range [{first}, {last}] invalid for n={n}")
         a = self.lpf[first - 1] if first else 0
         b = self.lsp[last + 1] if last + 1 < n else 0
-        return self._splice(first, last + 1, first - last - 1, a, b)
+        return splice(self.psi, self.idx, self.idx_np, first, last + 1, first - last - 1, a, b, ())

@@ -8,13 +8,15 @@ prefixes R, the automaton reads M right to left. Wherever its state
 reaches m a match starts, and its final state is the longest pattern
 suffix that prefixes M + R. That state and the longest pattern prefix
 ending L are the arms of the one seam window, which holds every match
-that starts in L and ends past it (Knuth, Morris and Pratt 1977).
+that starts in L and ends past it (Knuth, Morris and Pratt 1977). A
+query hands the arms, the block's matches and the split to
+`pm_block_delete.splice`, which answers the window and joins the parts.
 """
 
 from __future__ import annotations
 
 from .edits import EditOp, validate_edit
-from .pm_block_delete import BlockDeleteMatcher
+from .pm_block_delete import BlockDeleteMatcher, splice
 from .prefix_suffix import border_array
 
 
@@ -69,7 +71,7 @@ class EditMatcher(BlockDeleteMatcher):
         return self._scan(*validate_edit(op, self.n, self.sigma))[3:5]
 
     def _scan(self, ell: int, rp: int, block) -> tuple[int, int, int, int, int, list[int]]:
-        """``_splice``'s (ell, rp, shift, a, bm, inner) for a checked split:
+        """``splice``'s (ell, rp, shift, a, bm, inner) for a checked split:
         the automaton reads the block right to left from state lsp[rp], and
         inner holds the sorted starts of the matches that begin in it."""
         m = self.m
@@ -88,4 +90,5 @@ class EditMatcher(BlockDeleteMatcher):
 
     def occurrences_after_edit(self, op: EditOp) -> list[int]:
         """Sorted pattern starts in the text after the edit."""
-        return self._splice(*self._scan(*validate_edit(op, self.n, self.sigma)))
+        return splice(self.psi, self.idx, self.idx_np,
+                      *self._scan(*validate_edit(op, self.n, self.sigma)))

@@ -95,13 +95,12 @@ EMPTY_PROGRESSION = ArithmeticProgression(0, 1, 0)
 class PrefSufIndex:
     """O(m) tables answering prefix-suffix junction queries for one pattern."""
 
-    __slots__ = ("pattern", "m", "z", "zr", "f", "g", "period")
+    __slots__ = ("m", "z", "zr", "f", "g", "period")
 
     def __init__(self, pattern: list[int]):
         pattern = list(pattern)
         if not pattern:
             raise ValueError("pattern must be non-empty")
-        self.pattern = pattern
         m = len(pattern)
         self.m = m
         rev = pattern[::-1]

@@ -14,6 +14,8 @@ from ephemedit.ephemeral_index import (
     preprocess_pattern,
     preprocess_text,
 )
+from ephemedit.pm_block_delete import BlockDeleteMatcher
+from ephemedit.pm_ephemeral_edits import EditMatcher
 from ephemedit.prefix_suffix import PrefSufIndex
 from ephemedit.reference_oracle import occurrences_after_oracle
 from ephemedit.text_core import AlphabetError, Text
@@ -200,15 +202,10 @@ def test_unedited_occurrences_are_slices_of_the_sorted_starts(op):
     assert occurrences_after(ph, op) == occurrences_after_oracle(letters, ph.pattern, op)
 
 
-@pytest.mark.parametrize(
-    "op", [Insert(0, (1, 0)), Insert(7, (1, 0, 1, 0)), Substitute(3, (0, 1, 0)), Delete(5, 8)]
-)
-def test_seam_windows_cost_two_prefix_suffix_queries(monkeypatch, op):
-    """One window answers every match that starts in L and reaches past
-    it, one more those that start in the block and end in R."""
-    letters = [0, 1] * 20
-    eti = preprocess_text(Text(letters, 2))
-    ph = preprocess_pattern(eti, [0, 1, 0, 1, 0, 1], epsilon=4)
+@pytest.fixture
+def count_queries(monkeypatch):
+    """``count(f, *args)`` returns f(*args) and the number of
+    `PrefSufIndex.query` calls that f made."""
     calls = 0
     query = PrefSufIndex.query
 
@@ -217,11 +214,50 @@ def test_seam_windows_cost_two_prefix_suffix_queries(monkeypatch, op):
         calls += 1
         return query(self, a, b)
 
+    def count(f, *args):
+        nonlocal calls
+        calls = 0
+        return f(*args), calls
+
     monkeypatch.setattr(PrefSufIndex, "query", counted)
-    by = occurrence_classes(ph, op)
-    monkeypatch.undo()
+    return count
+
+
+@pytest.mark.parametrize(
+    "op", [Insert(0, (1, 0)), Insert(7, (1, 0, 1, 0)), Substitute(3, (0, 1, 0)), Delete(5, 8)]
+)
+def test_seam_windows_cost_two_prefix_suffix_queries(count_queries, op):
+    """One window answers every match that starts in L and reaches past
+    it, one more those that start in the block and end in R."""
+    letters = [0, 1] * 20
+    eti = preprocess_text(Text(letters, 2))
+    ph = preprocess_pattern(eti, [0, 1, 0, 1, 0, 1], epsilon=4)
+    by, calls = count_queries(occurrence_classes, ph, op)
     assert calls <= 2
     assert sorted(sum(by.values(), [])) == occurrences_after_oracle(letters, ph.pattern, op)
+
+
+# Arm sums a + b of 6, 9, 5, 10, 5, 3, 6 and 6 against m = 6.
+@pytest.mark.parametrize(
+    "op",
+    [Insert(0, (1, 0)), Insert(7, (1, 0, 1, 0)), Substitute(3, (0, 1, 0)), Delete(5, 8),
+     Delete(0, 4), Substitute(3, (0, 0)), Insert(10, (1, 1, 1)), Delete(30, 39)],
+)
+def test_pm_seam_window_costs_one_prefix_suffix_query(count_queries, op):
+    """The pm matchers answer their one seam window with one query, and
+    with none when its arms are shorter together than the pattern."""
+    letters, pattern = [0, 1] * 20, [0, 1, 0, 1, 0, 1]
+    tx = Text(letters, 2)
+    em = EditMatcher(tx, pattern)
+    a, b = em.junction_arms(op)
+    answers = [count_queries(em.occurrences_after_edit, op)]
+    if isinstance(op, Delete):
+        bd = BlockDeleteMatcher(tx, pattern)
+        answers.append(count_queries(bd.occurrences_after_delete, op.first, op.last))
+    want = occurrences_after_oracle(letters, pattern, op)
+    for got, calls in answers:
+        assert got == want
+        assert calls == (a + b >= len(pattern))
 
 
 def _random_op(rng: random.Random, n: int, sigma: int, epsilon: int):

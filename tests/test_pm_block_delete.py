@@ -1,12 +1,14 @@
 """Matcher specialized to one provisional block deletion."""
 
 import random
+from enum import IntEnum
 
 import pytest
 
 from ephemedit.ephemeral_index import occurrences_after, preprocess_pattern, preprocess_text
 from ephemedit.edits import Delete
 from ephemedit.pm_block_delete import BlockDeleteMatcher
+from ephemedit.pm_ephemeral_edits import EditMatcher
 from ephemedit.reference_oracle import occurrences_after_oracle
 from ephemedit.text_core import Text
 
@@ -61,6 +63,24 @@ def test_positions_must_be_ints(matcher, first, last, name):
     # True would be read as 1 and a float would fail inside the query.
     with pytest.raises(ValueError, match=f"position {name} must be an int"):
         matcher.occurrences_after_delete(first, last)
+
+
+class Span(IntEnum):
+    FIRST = 2
+    LAST = 5
+
+
+def test_int_subclass_positions_answer_alike(matcher):
+    """Positions follow `Delete`'s rule, an int that is not a bool, so an
+    IntEnum pair answers the same on all three delete paths."""
+    tx = Text(TEXT, 256)
+    op = Delete(Span.FIRST, Span.LAST)
+    want = occurrences_after_oracle(TEXT, PAT, op)
+    assert want == [1]
+    assert matcher.occurrences_after_delete(Span.FIRST, Span.LAST) == want
+    assert EditMatcher(tx, PAT).occurrences_after_edit(op) == want
+    ph = preprocess_pattern(preprocess_text(tx), PAT, epsilon=0)
+    assert occurrences_after(ph, op) == want
 
 
 def test_differential_random():
