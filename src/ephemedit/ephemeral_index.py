@@ -1,8 +1,8 @@
 """Pattern occurrences under a single provisional edit of an indexed text.
 
 `preprocess_text` ranks a text's letters once and indexes the codes,
-keeping no letters: forward and reversed, a suffix array, its inverse
-and a rank table over the Burrows-Wheeler transform.
+keeping no letters: forward and reversed, an inverse suffix array and
+a rank table over the Burrows-Wheeler transform, and a forward suffix array.
 `preprocess_pattern` then prepares one pattern against that index,
 reading the suffix-array interval of each pattern suffix off backward
 search as lo and hi columns, flattening those columns into predecessor
@@ -45,7 +45,7 @@ from .pattern_trees import context_group_rows, flatten_laminar
 from .predecessor_sets import PredSet
 from .pm_block_delete import splice
 from .prefix_suffix import PrefSufIndex
-# Read by perfbench only; ROADMAP direction 1 removes it.
+# Read by perfbench only; ROADMAP direction 7, part B, removes it.
 from .suffix_tree import matching_statistics  # noqa: F401
 from .text_core import AlphabetError, Text, TextIndex, dense_codes, pattern_letters
 
@@ -61,8 +61,11 @@ class EphemeralTextIndex:
         codes, alphabet = dense_codes(text.letters)
         self.fwd = TextIndex(codes, alphabet)
         self.rev = TextIndex(codes[::-1], alphabet)
-        self.st_fwd = None  # read by perfbench; ROADMAP direction 1 removes it
-        self.st_rev = None  # read by perfbench; ROADMAP direction 1 removes it
+        # Queries read starts off the forward sa only; the reversed sa has
+        # served to build isa and the rank table, so it is released.
+        del self.rev.sa
+        self.st_fwd = None  # read by perfbench; ROADMAP direction 7, part B, removes it
+        self.st_rev = None  # read by perfbench; ROADMAP direction 7, part B, removes it
 
 
 def preprocess_text(text, sigma: int | None = None) -> EphemeralTextIndex:
@@ -86,11 +89,12 @@ class PatternHandle:
     to epsilon at which the pattern's context words are distinct.
     `groups` maps a word to its group id gid, and `group_set` is one
     predecessor set over all groups, group gid holding its ranks r as
-    keys gid * n + r. `word` is the pattern as a tuple, against which
-    `group_cover` checks longer blocks. `idx` holds the pattern's starts
-    in the text, sorted, as a list of ints, and `idx_np` the same starts
-    as an int32 array: about 40 bytes per occurrence. Stateless at query
-    time.
+    keys gid * n + r. A lookup in any of the three sets answers the
+    start of the pattern suffix it names, an int, or None. `word` is the
+    pattern as a tuple, against which `group_cover` checks longer
+    blocks. `idx` holds the pattern's starts in the text, sorted, as a
+    list of ints, and `idx_np` the same starts as an int32 array: about
+    40 bytes per occurrence. Stateless at query time.
     """
 
     __slots__ = (
@@ -133,8 +137,8 @@ class PatternHandle:
         rev_pat = pat[::-1]
         self.rev_pattern = rev_pat
         self.main_rev = _decomposition(*eti.rev.suffix_intervals(rev_pat), n)
-        self.tree_fwd = None  # read by perfbench; ROADMAP direction 1 removes it
-        self.tree_rev = None  # read by perfbench; ROADMAP direction 1 removes it
+        self.tree_fwd = None  # read by perfbench; ROADMAP direction 7, part B, removes it
+        self.tree_rev = None  # read by perfbench; ROADMAP direction 7, part B, removes it
         starts = np.frombuffer(eti.fwd.sa, np.int32)[lo[0] : hi[0] + 1]
         self.idx_np = np.sort(starts)
         self.idx = self.idx_np.tolist()
@@ -155,33 +159,32 @@ def preprocess_pattern(eti: EphemeralTextIndex, pattern, epsilon: int) -> Patter
 def _left_arm(ph: PatternHandle, ell: int, n: int) -> int:
     """Longest pattern prefix that is a suffix of the text's first ell
     letters; ``n`` is the text's length."""
-    cov = ph.main_rev.cover(ph.eti.rev.isa[n - ell])
-    return 0 if cov is None else ph.m - cov.suffix_start
+    s = ph.main_rev.cover(ph.eti.rev.isa[n - ell])
+    return 0 if s is None else ph.m - s
 
 
 def _right_arm(ph: PatternHandle, rp: int) -> int:
     """Longest pattern suffix that is a prefix of the text from rp on."""
-    cov = ph.main_fwd.cover(ph.eti.fwd.isa[rp])
-    return 0 if cov is None else ph.m - cov.suffix_start
+    s = ph.main_fwd.cover(ph.eti.fwd.isa[rp])
+    return 0 if s is None else ph.m - s
 
 
 def group_cover(ph: PatternHandle, block: tuple[int, ...], rank: int, n: int):
-    """The piece of the block's context group covering text rank ``rank``:
-    it names the longest pattern suffix preceded in the pattern by
-    ``block`` that prefixes the text suffix of that rank, or None when
-    no such suffix does. ``n`` is the text's length."""
+    """The start of the longest pattern suffix preceded in the pattern by
+    ``block`` that prefixes the text suffix of rank ``rank``, read off
+    the piece of the block's context group covering that rank, or None
+    when no such suffix does. ``n`` is the text's length."""
     gid = ph.groups.get(block[-ph.key_len :])
     if gid is None:
         return None
-    cov = ph.group_set.cover(gid * n + rank)
+    i = ph.group_set.cover(gid * n + rank)
     blen = len(block)
-    if cov is None or blen <= ph.key_len:
-        return cov
+    if i is None or blen <= ph.key_len:
+        return i
     # A group keyed by key_len letters has a single member, so the block's
     # group is that member or empty. A member i < blen leaves a slice
     # shorter than the block, which never equals it.
-    i = cov.suffix_start
-    return cov if ph.word[i - blen : i] == block else None
+    return i if ph.word[i - blen : i] == block else None
 
 
 def _kmp_scan(pat: list[int], borders: list[int], block) -> tuple[list[int], int]:
@@ -232,9 +235,9 @@ def occurrences_after(ph: PatternHandle, op: EditOp) -> list[int]:
         if not blen:
             bm = _right_arm(ph, rp) if rp < n else 0
         else:
-            cov = group_cover(ph, block, eti.fwd.isa[rp], n) if rp < n else None
-            if cov is not None:
-                bm = blen + m - cov.suffix_start
+            s = group_cover(ph, block, eti.fwd.isa[rp], n) if rp < n else None
+            if s is not None:
+                bm = blen + m - s
             else:
                 bm = _kmp_scan(ph.rev_pattern, psi.g, block[::-1])[1]
 

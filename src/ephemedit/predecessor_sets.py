@@ -8,7 +8,9 @@ search plus one end comparison answers the cover question.
 Entries come in and live as three `array('q')` columns (starts, ends,
 suffix starts), sorted by start and checked by numpy, and a lookup is
 one `bisect_right` over the starts: O(log k) for k entries, in O(k)
-space. The garbage collector tracks nothing per entry.
+space. A lookup answers the covering entry's suffix start, a plain int,
+or None on a miss; 0, the whole pattern, is a hit. The garbage
+collector tracks nothing per entry.
 """
 
 from __future__ import annotations
@@ -26,11 +28,6 @@ class IntervalEntry(NamedTuple):
     start: int
     end: int
     suffix_start: int
-
-
-# Builds an IntervalEntry from a plain tuple without the Python-level
-# NamedTuple constructor.
-_new_entry = tuple.__new__
 
 
 class PredSet:
@@ -61,14 +58,11 @@ class PredSet:
                 raise ValueError(f"entry {entry} outside universe [0, {universe})")
             raise ValueError(f"entries not sorted and disjoint at {entry}")
 
-    def cover(self, q: int) -> IntervalEntry | None:
-        """The entry whose interval contains q, or None."""
+    def cover(self, q: int) -> int | None:
+        """The suffix start of the entry whose interval contains q, or None."""
         if not 0 <= q < self.universe:
             raise ValueError(f"query {q} outside universe [0, {self.universe})")
         idx = bisect_right(self.starts, q) - 1
-        if idx < 0:
+        if idx < 0 or q > self.ends[idx]:
             return None
-        end = self.ends[idx]
-        if q > end:
-            return None
-        return _new_entry(IntervalEntry, (self.starts[idx], end, self.suffix_starts[idx]))
+        return self.suffix_starts[idx]

@@ -238,7 +238,7 @@ class ArgRmq:
     """Sparse table answering range arg-max in O(1).
 
     No library caller; perfbench's tracer wraps it by name; ROADMAP
-    direction 1 removes it.
+    direction 7, part B, removes it.
 
     Keeps ``values`` as given and one ``array('i')`` of indices per
     doubling level, so a query reads plain ints. Ties resolve to the
@@ -338,7 +338,7 @@ class TextIndex:
     def report_starts(self, interval: SaInterval, lo: int) -> list[int]:
         """The starts within ``interval`` that are at least ``lo``, by one
         scan. No library caller; perfbench's tracer wraps it by name;
-        ROADMAP direction 1 removes it."""
+        ROADMAP direction 7, part B, removes it."""
         return [p for p in self.sa[interval.lo : interval.hi + 1] if p >= lo]
 
     def suffix_intervals(self, pattern) -> tuple[np.ndarray, np.ndarray]:

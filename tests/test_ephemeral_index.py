@@ -9,6 +9,8 @@ import pytest
 from ephemedit import text_core
 from ephemedit.edits import Delete, Insert, Substitute
 from ephemedit.ephemeral_index import (
+    _left_arm,
+    _right_arm,
     occurrence_classes,
     occurrences_after,
     preprocess_pattern,
@@ -36,6 +38,14 @@ def test_worked_edits(example_handle):
     assert occurrences_after(ph, Insert(7, b"a")) == [5]
     assert occurrences_after(ph, Insert(-1, b"b")) == [0]
     assert occurrences_after(ph, Insert(11, b"na")) == [10]
+
+
+def test_arms_read_a_piece_naming_the_whole_pattern():
+    """Both arms at the middle of abab read a piece whose suffix start is
+    0, the whole pattern, so each reaches the pattern's full length."""
+    ph = preprocess_pattern(preprocess_text(Text(list(b"abab"), 256)), list(b"ab"), epsilon=1)
+    assert _right_arm(ph, 2) == 2
+    assert _left_arm(ph, 2, 4) == 2
 
 
 def test_worked_edit_classes(example_handle):

@@ -7,6 +7,7 @@ against a brute-force scan of the text."""
 
 import itertools
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -23,7 +24,7 @@ from ephemedit.pattern_trees import build_context_groups, build_tree_p, decompos
 from ephemedit.pm_ephemeral_edits import EditMatcher
 from ephemedit.reference_oracle import naive_search, occurrences_after_oracle
 from ephemedit.suffix_tree import build_suffix_tree, matching_statistics
-from ephemedit.text_core import Text
+from ephemedit.text_core import Text, TextIndex, dense_codes
 
 from families import fibonacci_word, huge_alphabet, periodic_with_noise, square
 from test_predecessor_sets import pred_set
@@ -115,14 +116,16 @@ def test_main_sets_match_tree_decomposition(family, doubled):
         text = text + text
     n = len(text)
     eti = preprocess_text(Text(text, sigma))
+    # The engine keeps no reversed suffix array.
+    rev_sa = TextIndex(*dense_codes(text[::-1])).sa
     occurring = 0
     for pattern in patterns_for(rng, text, sigma):
         ph = preprocess_pattern(eti, pattern, epsilon)
-        for got, index, letters, p in (
-            (ph.main_fwd, eti.fwd, text, pattern),
-            (ph.main_rev, eti.rev, text[::-1], pattern[::-1]),
+        for got, sa, letters, p in (
+            (ph.main_fwd, eti.fwd.sa, text, pattern),
+            (ph.main_rev, rev_sa, text[::-1], pattern[::-1]),
         ):
-            intervals = scanned_intervals(letters, index.sa, p)
+            intervals = scanned_intervals(letters, sa, p)
             want = pred_set(decompose_disjoint(build_tree_p(p, intervals)), n)
             occurring += len(want.starts)
             assert (got.starts, got.ends, got.suffix_starts, got.universe) == (
@@ -290,18 +293,22 @@ def test_packed_groups_match_one_set_per_group():
         occurring = [i for i in range(m) if not ms.suf_interval[i].is_empty]
         assert_key_len(ph, pattern, occurring)
         assert set(ph.groups) == {word for word in groups if len(word) <= ph.key_len}
+        packed = ph.group_set
         for word in set(groups) | absent_words(rng, set(groups), sigma, epsilon):
             own = pred_set(groups.get(word, []), n)
-            base = ph.groups.get(word[-ph.key_len :], 0) * n
             long_lookups += len(word) > ph.key_len
+            if word in ph.groups:
+                # The group's packed pieces, shifted back by gid * n, are
+                # its own set's pieces.
+                base = ph.groups[word] * n
+                lo = bisect_left(packed.starts, base)
+                hi = bisect_left(packed.starts, base + n)
+                assert [s - base for s in packed.starts[lo:hi]] == list(own.starts)
+                assert [e - base for e in packed.ends[lo:hi]] == list(own.ends)
+                assert packed.suffix_starts[lo:hi] == own.suffix_starts
             # Ranks 0 and n - 1 sit next to the neighbouring groups' keys.
             for r in range(n):
-                cov = group_cover(ph, word, r, n)
-                want = own.cover(r)
-                if want is None:
-                    assert cov is None, (text, pattern, word, r)
-                else:
-                    assert (cov.start - base, cov.end - base, cov.suffix_start) == want, (text, pattern, word, r)
+                assert group_cover(ph, word, r, n) == own.cover(r), (text, pattern, word, r)
     assert long_lookups > 0
 
 
@@ -346,8 +353,7 @@ def test_group_set_names_longest_member_suffix(family):
                 members = [i for i in range(k, m) if tuple(pattern[i - k : i]) == word]
                 for r in range(n):
                     want = next((i for i in members if prefixes[r][i]), None)
-                    cov = group_cover(ph, word, r, n)
-                    got = None if cov is None else cov.suffix_start
+                    got = group_cover(ph, word, r, n)
                     assert got == want, (family, m, epsilon, word, r)
 
 

@@ -72,12 +72,22 @@ def test_checks_match_the_entry_loop():
 
 def test_small_hand_case():
     ps = PredSet([2, 6, 9], [4, 6, 12], [7, 1, 3], universe=16)
-    assert ps.cover(3) == IntervalEntry(2, 4, 7)
+    assert ps.cover(3) == 7
     assert ps.cover(5) is None
-    assert ps.cover(6) == IntervalEntry(6, 6, 1)
+    assert ps.cover(6) == 1
     assert ps.cover(13) is None
-    assert ps.cover(10) == IntervalEntry(9, 12, 3)
+    assert ps.cover(10) == 3
     assert ps.cover(1) is None
+
+
+def test_suffix_start_zero_is_a_hit():
+    """A piece naming the whole pattern answers 0, not a miss, and the
+    gaps beside it answer None."""
+    ps = PredSet([2, 5], [3, 6], [0, 4], universe=8)
+    for q in (2, 3):
+        assert ps.cover(q) == 0 and ps.cover(q) is not None
+    for q in (0, 1, 4, 7):
+        assert ps.cover(q) is None
 
 
 def test_empty_set_answers_nothing():
@@ -88,7 +98,7 @@ def test_empty_set_answers_nothing():
 
 def test_single_entry_universe_one():
     ps = PredSet([0], [0], [5], universe=1)
-    assert ps.cover(0) == IntervalEntry(0, 0, 5)
+    assert ps.cover(0) == 5
 
 
 def _random_disjoint_entries(rng: random.Random, universe: int, count: int):
@@ -108,7 +118,7 @@ def test_matches_bisect_small_universe():
         keys = [e.start for e in entries]
         for q in range(universe):
             idx = bisect.bisect_right(keys, q) - 1
-            want = entries[idx] if idx >= 0 and entries[idx].end >= q else None
+            want = entries[idx].suffix_start if idx >= 0 and entries[idx].end >= q else None
             assert ps.cover(q) == want
 
 
@@ -130,5 +140,5 @@ def test_large_sparse_universe():
     queries += [e.start for e in pruned] + [e.end for e in pruned]
     for q in queries:
         idx = bisect.bisect_right(keys, q) - 1
-        want = pruned[idx] if idx >= 0 and pruned[idx].end >= q else None
+        want = pruned[idx].suffix_start if idx >= 0 and pruned[idx].end >= q else None
         assert ps.cover(q) == want
