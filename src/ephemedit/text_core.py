@@ -10,8 +10,9 @@ interval instead.
 
 A text's letters are ranked once, by `dense_codes`, and `TextIndex`
 indexes the codes, so the reversed text takes the same codes reversed.
-DC3 sorts letter triples as single packed int64 keys. A level whose keys
-could reach 2^63, which takes letters beyond 2^21, ranks its letters and
+DC3 lifts the letters above its 0 padding in its own copy and sorts
+letter triples as packed int64 keys; a level whose keys could reach
+2^63, which takes letters of 2^21 - 1 or more, ranks its letters and
 letter pairs densely first. `TextIndex` holds the suffix array and its
 inverse as int32 ``array('i')``, 4 bytes per letter, so a text has fewer
 than 2^31 letters.
@@ -114,27 +115,30 @@ def pattern_letters(pattern, sigma: int) -> list[int]:
 
 
 def _dc3(s: np.ndarray) -> np.ndarray:
-    """Suffix array of ``s``, an int64 array of letters >= 1, by the DC3
-    (skew) algorithm of Kärkkäinen and Sanders (ICALP 2003).
+    """Suffix array of ``s``, int letters >= 0, as an int32 array, by the
+    DC3 (skew) algorithm of Kärkkäinen and Sanders (ICALP 2003).
 
-    Sorts the sample suffixes, those at i % 3 != 0, by naming their
-    letter triples and recursing on the names when they repeat; then sorts
-    the suffixes at i % 3 == 0 by (letter, sample rank) and merges them in.
-    Each level works on 2/3 of the positions of the one above and costs a
-    constant number of numpy sorts and searches, so the whole takes
-    O(n log n) time (O(n) with radix sorts in place of numpy's).
+    Each level lifts its letters by 1, above the 0 padding, in its own
+    int64 copy. It sorts the sample suffixes, those at i % 3 != 0, by
+    naming their letter triples with one ``np.unique`` and recursing on
+    the names when they repeat; then it sorts the suffixes at i % 3 == 0
+    by (letter, sample rank) and merges them in. Each level works on 2/3
+    of the positions of the one above and costs a constant number of
+    numpy sorts and searches, so the whole takes O(n log n) time (O(n)
+    with radix sorts in place of numpy's).
 
     A triple (a, b, c) sorts as the one int64 key (a·w + b)·w + c, for
-    letters below w, and the merge compares (a·w + b)·r + rank, for sample
-    ranks below r. When w³ or w²·r exceeds 2^63, which takes letters
-    beyond 2^21 (a text of over about 2.09 M letters, or ``s`` given such
-    letters directly), the level first ranks its letters and its letter
-    pairs densely, so each pair a·w + b becomes its rank among the pairs
-    and every key stays below (n + 3)².
+    lifted letters below w, and the merge compares (a·w + b)·r + rank, for
+    sample ranks below r. When w³ or w²·r exceeds 2^63, which takes letters
+    of 2^21 - 1 or more (a text of over about 2.09 M letters, or ``s``
+    given such letters directly), the level first ranks its letters and
+    its letter pairs densely, so each pair a·w + b becomes its rank among
+    the pairs and every key stays below (n + 3)².
     """
     n = len(s)
     t = np.zeros(n + 3, np.int64)
     t[:n] = s
+    t[:n] += 1
     # The names of the triples at i % 3 == 1 come first in the recursion,
     # so the last of them must hold padding to keep a comparison from
     # running on into the names at i % 3 == 2. When n % 3 == 1 that takes
@@ -148,14 +152,9 @@ def _dc3(s: np.ndarray) -> np.ndarray:
         _, t = np.unique(t, return_inverse=True)
         w = int(t.max()) + 1
         _, pair = np.unique(t[:-1] * w + t[1:], return_inverse=True)
-    key = pair[p12] * w + t[p12 + 2]
-    order = np.argsort(key)
-    key = key[order]
-    names = np.cumsum(np.r_[True, key[1:] != key[:-1]])
-    if names[-1] < len(order):
-        reduced = np.empty(len(order), np.int64)
-        reduced[order] = names
-        order = _dc3(reduced)
+    distinct, names = np.unique(pair[p12] * w + t[p12 + 2], return_inverse=True)
+    order = _dc3(names) if len(distinct) < len(names) else np.argsort(names)
+    del distinct, names
     s12 = p12[order]
     # rank[i] orders the sample suffixes from 1, the extra empty one at n
     # first, and is 0 past them.
@@ -176,7 +175,7 @@ def _dc3(s: np.ndarray) -> np.ndarray:
         + np.searchsorted(t[s1] * r + rank[s1 + 1], k0)
         + np.searchsorted(pair[s2] * r + rank[s2 + 2], pair[s0] * r + rank[s0 + 2])
     )
-    sa = np.empty(n, np.int64)
+    sa = np.empty(n, np.int32)
     sample = np.ones(n, bool)
     sample[at] = False
     sa[at] = s0
@@ -195,14 +194,13 @@ def dense_codes(letters) -> tuple[np.ndarray, list]:
 
 def suffix_array(letters) -> array:
     """Sorted start positions of all suffixes of ``letters``, ints in
-    [0, 2^63 - 1), as an int32 ``array('i')``, by DC3 over the letters
-    plus 1, since DC3 pads with 0."""
+    [0, 2^63 - 1), as an int32 ``array('i')``, by DC3."""
     s = np.asarray(letters)
     if len(s) == 0:
         return array("i")
     if s.dtype.kind not in "iu" or s.min() < 0 or s.max() >= 2**63 - 1:
         raise ValueError("suffix_array takes int letters in [0, 2^63 - 1)")
-    return array("i", _dc3(s.astype(np.int64, copy=False) + 1).astype(np.int32).tobytes())
+    return array("i", _dc3(s).tobytes())
 
 
 def inverse_permutation(sa) -> array:
